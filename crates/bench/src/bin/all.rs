@@ -1,69 +1,30 @@
-//! Run every experiment and dump a JSON artifact for EXPERIMENTS.md.
+//! Regenerate every archive in `results/` in one process: the paper's
+//! tables and figures, `mode_switch`, `switch_timeline`, and the
+//! campaigns `fault_campaign --seed 7`, `serving_tail --seed 11
+//! --live-update` and `serving_tail --seed 11 --fleet --live-update`.
+//! Exits non-zero if any suite's own gates failed; every suite still
+//! runs and archives.
 
-use mercury::TrackingStrategy;
-use mercury_bench::{measure_sharded_recompute, measure_switch_times, Json};
-use mercury_workloads::lmbench::LmbenchIters;
-use mercury_workloads::report::{app_figure, lmbench_table, AppFigure, LmbenchTable};
+use mercury_bench::{
+    exit_with, faults, mode_switch, paper, run_archived, serving, switch_timeline, Opts,
+};
 
 fn main() {
-    let t1 = lmbench_table(1, LmbenchIters::default());
-    println!("{}", t1.render());
-    let t2 = lmbench_table(2, LmbenchIters::default());
-    println!("{}", t2.render());
-    let f3 = app_figure(1, 2);
-    println!("{}", f3.render());
-    let f4 = app_figure(2, 2);
-    println!("{}", f4.render());
-    let sw = measure_switch_times(TrackingStrategy::RecomputeOnSwitch, 20);
-    let sw_track = measure_switch_times(TrackingStrategy::ActiveTracking, 20);
-    let sw_dirty = measure_switch_times(TrackingStrategy::DirtyRecompute, 20);
-    let sharded = measure_sharded_recompute(4, 10);
-    println!(
-        "Mode switch (recompute):   attach {:.1} us / detach {:.1} us",
-        sw.attach_us, sw.detach_us
-    );
-    println!(
-        "Mode switch (tracking):    attach {:.1} us / detach {:.1} us",
-        sw_track.attach_us, sw_track.detach_us
-    );
-    println!(
-        "Mode switch (dirty):       cold attach {:.1} us / warm {:.1} us / detach {:.1} us",
-        sw_dirty.cold_attach_us, sw_dirty.warm_attach_us, sw_dirty.detach_us
-    );
-    println!(
-        "Sharded recompute ({} CPUs): serial {:.1} us / sharded {:.1} us ({:.2}x)",
-        sharded.cpus, sharded.serial_pginfo_us, sharded.sharded_pginfo_us, sharded.speedup
-    );
-
-    let table = |t: &LmbenchTable| {
-        Json::obj([
-            ("columns", t.columns.clone().into()),
-            ("cpus", t.cpus.into()),
-        ])
-    };
-    let figure = |f: &AppFigure| {
-        Json::obj([
-            ("absolute", f.absolute.clone().into()),
-            ("cpus", f.cpus.into()),
-            ("series", f.series.clone().into()),
-            ("units", f.units.clone().into()),
-        ])
-    };
-    let artifact = Json::obj([
-        ("fig3", figure(&f3)),
-        ("fig4", figure(&f4)),
-        (
-            "mode_switch",
-            Json::obj([
-                ("active_tracking", sw_track.to_json()),
-                ("dirty_recompute", sw_dirty.to_json()),
-                ("recompute", sw.to_json()),
-                ("sharded_recompute", sharded.to_json()),
-            ]),
-        ),
-        ("table1", table(&t1)),
-        ("table2", table(&t2)),
-    ]);
-    std::fs::write("bench_results.json", artifact.render()).expect("write bench_results.json");
-    eprintln!("\nwrote bench_results.json");
+    let mut ok = run_archived("all", None, paper::run);
+    ok &= run_archived("mode_switch", None, mode_switch::run);
+    ok &= run_archived("switch_timeline", None, switch_timeline::run);
+    let faults = Opts::new("fault_campaign", 7);
+    ok &= run_archived(&faults.command(), Some(faults.seed), || {
+        faults::run(&faults)
+    });
+    let mut serving = Opts::new("serving_tail", 11);
+    serving.live_update = true;
+    ok &= run_archived(&serving.command(), Some(serving.seed), || {
+        serving::run(&serving)
+    });
+    serving.fleet = true;
+    ok &= run_archived(&serving.command(), Some(serving.seed), || {
+        serving::run(&serving)
+    });
+    exit_with(ok)
 }

@@ -1,21 +1,33 @@
 //! # mercury-bench — regenerating the paper's tables and figures
 //!
+//! Every archived number lives in `results/`, one JSON file per suite,
+//! each of the shape `{"provenance": {commit, command, seed, rustc,
+//! host, wall_s}, "metrics": {…}}` written by [`run_archived`].  The
+//! `all` binary regenerates every archive in one process, so no archive
+//! can come from a stale sibling build; `tools/benchgate.py` gates a
+//! fresh `results/` directory against the committed one.
+//!
 //! Binaries (run with `cargo run -p mercury-bench --release --bin <name>`):
 //!
 //! | binary | regenerates |
 //! |---|---|
-//! | `table1` | Table 1 — lmbench latencies, uniprocessor |
-//! | `table2` | Table 2 — lmbench latencies, SMP |
-//! | `fig3` | Fig. 3 — relative application performance, uniprocessor |
-//! | `fig4` | Fig. 4 — relative application performance, SMP |
-//! | `mode_switch` | §7.4 — mode switch times, plus sharded-vs-serial attach |
-//! | `ablation_tracking` | §5.1.2 — recompute vs active tracking vs dirty recompute |
-//! | `switch_timeline` | §7.3 — per-phase switch decomposition (merctrace) |
-//! | `fault_campaign` | DESIGN.md §12 — seeded dependability campaigns (`faultgen_results.json`) |
-//! | `all` | everything above, plus a JSON dump for EXPERIMENTS.md |
+//! | `all` | every archive below, with the commands listed |
+//! | `table1` / `table2` | Table 1 / 2 — lmbench latencies, UP / SMP (stdout; archived by `all` in `paper`) |
+//! | `fig3` / `fig4` | Fig. 3 / 4 — relative application performance, UP / SMP (stdout; archived in `paper`) |
+//! | `mode_switch` | §7.4 — mode switch times per strategy, sharded-vs-serial attach (`mode_switch`) |
+//! | `switch_timeline` | §7.3 — per-phase switch decomposition via merctrace (`switch_timeline`, plus the Chrome trace `switch_timeline.trace.json`) |
+//! | `fault_campaign` | DESIGN.md §12 — seeded dependability campaigns (`faults`; `all` runs `--seed 7`) |
+//! | `serving_tail` | DESIGN.md §13/§15 — serving tails (`serving`; `all` runs `--seed 11 --live-update`) and, with `--fleet`, the fleet run (`fleet`; `all` runs `--seed 11 --fleet --live-update`) |
+//! | `ablation_tracking`, `hw_assist`, `scalability`, `probe_dbench` | stdout-only studies, not archived |
 //!
 //! Host-time performance of the simulator itself is measured by the
 //! standalone `perfbench/` package.
+
+pub mod faults;
+pub mod mode_switch;
+pub mod paper;
+pub mod serving;
+pub mod switch_timeline;
 
 use mercury::{Mercury, SwitchOutcome, TrackingStrategy};
 use mercury_workloads::configs::{switch_with_peers, SysKind, TestBed};
@@ -23,6 +35,8 @@ use simx86::costs::cycles_to_us;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::Ordering;
+use std::sync::OnceLock;
+use std::time::Instant;
 
 /// A JSON document for the bench archives.
 ///
@@ -32,6 +46,8 @@ use std::sync::atomic::Ordering;
 /// level.
 #[derive(Debug)]
 pub enum Json {
+    /// `null`.
+    Null,
     /// `true` / `false`.
     Bool(bool),
     /// An integer (cycle counts, seeds, sample counts).
@@ -72,6 +88,7 @@ impl Json {
 
     fn write(&self, out: &mut String, indent: usize) {
         match self {
+            Json::Null => out.push_str("null"),
             Json::Bool(b) => write!(out, "{b}").expect("write to String"),
             Json::Int(i) => write!(out, "{i}").expect("write to String"),
             Json::Num(x) if x.is_finite() => {
@@ -178,98 +195,246 @@ macro_rules! json_from_int {
 }
 json_from_int!(u32, u64, usize, i64);
 
+impl<V: Into<Json>> From<Option<V>> for Json {
+    fn from(v: Option<V>) -> Json {
+        v.map_or(Json::Null, Into::into)
+    }
+}
+
 impl<V: Into<Json>> From<BTreeMap<String, V>> for Json {
     fn from(map: BTreeMap<String, V>) -> Json {
         Json::Obj(map.into_iter().map(|(k, v)| (k, v.into())).collect())
     }
 }
 
-/// One campaign binary's simulated-throughput measurement, archived in
-/// `sim_speed.json` and gated by `tools/benchgate.py --sim-speed`
-/// (DESIGN.md §14.3, EXPERIMENTS.md "Campaign scale").
-///
-/// The simulated-cycle numerator always comes from deterministic
-/// archived quantities (request record finish offsets, fault detection
-/// cycles) — never from machine clocks, whose SMP totals include
-/// host-timing-dependent rendezvous spin.
-#[derive(Debug, Clone)]
-pub struct SimSpeed {
-    /// Simulated mega-cycles the suite covered (one skip-on pass).
-    pub sim_mcycles: f64,
-    /// Host seconds for the pass with event-driven time skip on.
-    pub host_seconds_skip_on: f64,
-    /// Host seconds for the pass with skip off (quantum ticking).
-    pub host_seconds_skip_off: f64,
-    /// Headline throughput: simulated Mcycles per host second, skip on.
-    pub mcycles_per_host_second: f64,
-    /// `host_seconds_skip_off / host_seconds_skip_on`: wall-clock factor
-    /// the event-driven skip buys on this suite.
-    pub skip_speedup: f64,
+/// Where every archive is written, relative to the working directory.
+pub const RESULTS_DIR: &str = "results";
+
+/// One suite's result: the archive it fills and whether the suite's
+/// own gates held.
+#[derive(Debug)]
+pub struct Outcome {
+    /// Archive name: the suite writes `results/<name>.json`.
+    pub name: &'static str,
+    /// The archive's `metrics` section.
+    pub metrics: Json,
+    /// Every gate the suite checks on itself held.
+    pub ok: bool,
 }
 
-impl SimSpeed {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("host_seconds_skip_off", self.host_seconds_skip_off.into()),
-            ("host_seconds_skip_on", self.host_seconds_skip_on.into()),
-            (
-                "mcycles_per_host_second",
-                self.mcycles_per_host_second.into(),
+/// Run one suite and write `results/<name>.json` as `{provenance,
+/// metrics}`.  `command` is the canonical command line that reproduces
+/// the run (benchgate compares archives only when these match) and
+/// `seed` its seed, `None` for suites that take none.  Returns whether
+/// the suite's own gates held.
+pub fn run_archived(command: &str, seed: Option<u64>, suite: impl FnOnce() -> Outcome) -> bool {
+    let origin = origin();
+    let start = Instant::now();
+    let out = suite();
+    let wall_s = start.elapsed().as_secs_f64();
+    let doc = Json::obj([
+        (
+            "provenance",
+            Json::obj([
+                ("commit", origin.commit.as_str().into()),
+                ("command", command.into()),
+                ("seed", seed.into()),
+                ("rustc", origin.rustc.as_str().into()),
+                ("host", origin.host.as_str().into()),
+                ("wall_s", wall_s.into()),
+            ]),
+        ),
+        ("metrics", out.metrics),
+    ]);
+    let path = format!("{RESULTS_DIR}/{}.json", out.name);
+    std::fs::create_dir_all(RESULTS_DIR).expect("create results/");
+    std::fs::write(&path, doc.render()).unwrap_or_else(|e| panic!("write {path}: {e}"));
+    eprintln!("wrote {path} ({wall_s:.1} s)");
+    out.ok
+}
+
+/// Exit with status 0 if `ok`, 1 otherwise.
+pub fn exit_with(ok: bool) -> ! {
+    std::process::exit(if ok { 0 } else { 1 })
+}
+
+/// The provenance fields that do not vary per suite.
+struct Origin {
+    commit: String,
+    rustc: String,
+    host: String,
+}
+
+/// Read once per process, before the first archive is written: the
+/// commit of the checkout this crate was built from (`-dirty` when
+/// tracked files outside `results/` differ from it), the `rustc` on
+/// `PATH`, and the host's architecture, OS, core count and CPU model.
+/// Each reads `unknown` when it cannot be determined.
+fn origin() -> &'static Origin {
+    static ORIGIN: OnceLock<Origin> = OnceLock::new();
+    ORIGIN.get_or_init(|| {
+        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+        let git = |args: &[&str]| stdout_of("git", &[&["-C", root], args].concat());
+        let commit = match git(&["rev-parse", "HEAD"]) {
+            Some(head) => match git(&[
+                "status",
+                "--porcelain",
+                "--untracked-files=no",
+                "--",
+                ".",
+                ":!results",
+            ]) {
+                Some(changes) if changes.is_empty() => head,
+                _ => format!("{head}-dirty"),
+            },
+            None => "unknown".to_string(),
+        };
+        let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let model = std::fs::read_to_string("/proc/cpuinfo")
+            .ok()
+            .and_then(|info| {
+                info.lines().find_map(|l| {
+                    Some(
+                        l.strip_prefix("model name")?
+                            .split_once(':')?
+                            .1
+                            .trim()
+                            .to_string(),
+                    )
+                })
+            });
+        Origin {
+            commit,
+            rustc: stdout_of("rustc", &["--version"]).unwrap_or_else(|| "unknown".to_string()),
+            host: format!(
+                "{}-{}, {cpus} cpus, {}",
+                std::env::consts::ARCH,
+                std::env::consts::OS,
+                model.as_deref().unwrap_or("unknown cpu")
             ),
-            ("sim_mcycles", self.sim_mcycles.into()),
-            ("skip_speedup", self.skip_speedup.into()),
-        ])
+        }
+    })
+}
+
+/// Trimmed stdout of a successful `program args…` run.
+fn stdout_of(program: &str, args: &[&str]) -> Option<String> {
+    let out = std::process::Command::new(program)
+        .args(args)
+        .output()
+        .ok()?;
+    out.status
+        .success()
+        .then(|| String::from_utf8_lossy(&out.stdout).trim().to_string())
+}
+
+/// Command-line options of `fault_campaign` and `serving_tail`.
+#[derive(Debug, Clone)]
+pub struct Opts {
+    /// Binary name, the head of [`Opts::command`].
+    pub bin: &'static str,
+    /// `--seed N`.
+    pub seed: u64,
+    /// `--campaign`: the nightly ~100x sizing instead of the full
+    /// sizing `all` archives.
+    pub campaign: bool,
+    /// `--fleet` (`serving_tail` only).
+    pub fleet: bool,
+    /// `--live-update` (`serving_tail` only).
+    pub live_update: bool,
+}
+
+impl Opts {
+    /// Full-size defaults for `bin`.
+    pub fn new(bin: &'static str, seed: u64) -> Opts {
+        Opts {
+            bin,
+            seed,
+            campaign: false,
+            fleet: false,
+            live_update: false,
+        }
+    }
+
+    /// Parse the process arguments; `flags` lists the switches `bin`
+    /// accepts besides `--seed N`.
+    pub fn from_args(bin: &'static str, seed: u64, flags: &[&str]) -> Opts {
+        let mut o = Opts::new(bin, seed);
+        let mut args = std::env::args().skip(1);
+        while let Some(a) = args.next() {
+            match a.as_str() {
+                "--seed" => {
+                    o.seed = args
+                        .next()
+                        .and_then(|v| v.parse().ok())
+                        .expect("--seed takes an integer")
+                }
+                f if !flags.contains(&f) => {
+                    panic!(
+                        "unknown argument {f:?} (use --seed N / {})",
+                        flags.join(" / ")
+                    )
+                }
+                "--campaign" => o.campaign = true,
+                "--fleet" => o.fleet = true,
+                "--live-update" => o.live_update = true,
+                other => unreachable!("flag {other:?} has no handler"),
+            }
+        }
+        o
+    }
+
+    /// The canonical command line, archived as `provenance.command`.
+    pub fn command(&self) -> String {
+        let mut cmd = format!("{} --seed {}", self.bin, self.seed);
+        for (on, flag) in [
+            (self.campaign, "--campaign"),
+            (self.fleet, "--fleet"),
+            (self.live_update, "--live-update"),
+        ] {
+            if on {
+                cmd.push(' ');
+                cmd.push_str(flag);
+            }
+        }
+        cmd
     }
 }
 
-/// Merge `entry` under `key` into `sim_speed.json` in the working
-/// directory, preserving entries other binaries already wrote.  The
-/// file is small and human-diffable; nightly CI uploads it and
-/// `benchgate.py --sim-speed` compares it against the archived copy at
-/// the repo root.
-pub fn record_sim_speed(key: &str, entry: &SimSpeed) {
-    let old = std::fs::read_to_string("sim_speed.json").unwrap_or_default();
-    std::fs::write("sim_speed.json", merge_sim_speed(&old, key, entry))
-        .expect("write sim_speed.json");
-    eprintln!(
-        "sim_speed.json[{key}]: {:.1} simulated Mcycles in {:.2}s host \
-         ({:.1} Mcycles/s, skip speedup {:.2}x)",
-        entry.sim_mcycles,
-        entry.host_seconds_skip_on,
-        entry.mcycles_per_host_second,
-        entry.skip_speedup,
-    );
+/// Run `pass` twice, first with the event clock's time skip on, then
+/// quantum-ticking, and return each result with its host seconds.
+/// Equal results prove both determinism and that the skip changed no
+/// accounting (DESIGN.md §14.3).
+pub fn skip_on_then_off<T>(mut pass: impl FnMut() -> T) -> [(T, f64); 2] {
+    let mut timed = |skip: bool| {
+        simx86::evclock::set_default_skip(skip);
+        let start = Instant::now();
+        let out = pass();
+        (out, start.elapsed().as_secs_f64())
+    };
+    let on = timed(true);
+    let off = timed(false);
+    simx86::evclock::set_default_skip(true);
+    [on, off]
 }
 
-/// `old` (a `sim_speed.json` document) with `entry` set under `key`.
-///
-/// [`Json::render`] puts each suite's flat entry on one line of the
-/// top-level object, so the other suites are carried over line by line
-/// without parsing them.
-fn merge_sim_speed(old: &str, key: &str, entry: &SimSpeed) -> String {
-    let mut suites: BTreeMap<String, String> = old
-        .lines()
-        .filter_map(|line| {
-            let (k, v) = line.strip_prefix("  \"")?.split_once("\": ")?;
-            let v = v.strip_suffix(',').unwrap_or(v);
-            (v.starts_with('{') && v.ends_with('}')).then(|| (k.to_string(), v.to_string()))
-        })
-        .collect();
-    suites.insert(
-        key.to_string(),
-        entry.to_json().render().trim_end().to_string(),
+/// The `sim_speed` section of a campaign archive: `sim_mcycles`
+/// simulated Mcycles (a deterministic archived quantity, never a
+/// machine clock) covered by one pass, over the host seconds of the
+/// skip-on and skip-off passes.
+pub fn sim_speed(sim_mcycles: f64, host_skip_on: f64, host_skip_off: f64) -> Json {
+    let per_s = sim_mcycles / host_skip_on.max(1e-9);
+    let speedup = host_skip_off / host_skip_on.max(1e-9);
+    eprintln!(
+        "sim_speed: {sim_mcycles:.1} simulated Mcycles in {host_skip_on:.2}s host \
+         ({per_s:.1} Mcycles/s, skip speedup {speedup:.2}x)"
     );
-    let body: Vec<String> = suites
-        .iter()
-        .map(|(k, v)| {
-            let mut line = String::from("  ");
-            write_str(&mut line, k);
-            line.push_str(": ");
-            line.push_str(v);
-            line
-        })
-        .collect();
-    format!("{{\n{}\n}}\n", body.join(",\n"))
+    Json::obj([
+        ("sim_mcycles", sim_mcycles.into()),
+        ("host_seconds_skip_on", host_skip_on.into()),
+        ("host_seconds_skip_off", host_skip_off.into()),
+        ("mcycles_per_host_second", per_s.into()),
+        ("skip_speedup", speedup.into()),
+    ])
 }
 
 /// Measured mode-switch times for one strategy.
@@ -458,6 +623,7 @@ mod tests {
                 Json::arr([Json::obj([("x", 0.5.into()), ("ok", true.into())])]),
             ),
             ("empty", Json::Arr(Vec::new())),
+            ("none", None::<u64>.into()),
         ]);
         assert_eq!(
             doc.render(),
@@ -468,9 +634,29 @@ mod tests {
                 "  \"rows\": [\n",
                 "    {\"x\": 0.5, \"ok\": true}\n",
                 "  ],\n",
-                "  \"empty\": []\n",
+                "  \"empty\": [],\n",
+                "  \"none\": null\n",
                 "}\n"
             )
+        );
+    }
+
+    #[test]
+    fn commands_are_canonical() {
+        // The committed archives carry these strings; benchgate bands a
+        // fresh archive only when its command matches exactly.
+        let mut o = Opts::new("serving_tail", 11);
+        o.live_update = true;
+        assert_eq!(o.command(), "serving_tail --seed 11 --live-update");
+        o.fleet = true;
+        o.campaign = true;
+        assert_eq!(
+            o.command(),
+            "serving_tail --seed 11 --campaign --fleet --live-update"
+        );
+        assert_eq!(
+            Opts::new("fault_campaign", 7).command(),
+            "fault_campaign --seed 7"
         );
     }
 
@@ -482,30 +668,5 @@ mod tests {
         assert_eq!(render(212.0), "212.0");
         assert_eq!(render(-2.5), "-2.5");
         assert_eq!(render(f64::NAN), "null");
-    }
-
-    #[test]
-    fn sim_speed_merge_keeps_other_suites() {
-        let speed = |x: f64| SimSpeed {
-            sim_mcycles: x,
-            host_seconds_skip_on: 1.0,
-            host_seconds_skip_off: 2.0,
-            mcycles_per_host_second: x,
-            skip_speedup: 2.0,
-        };
-        let one = merge_sim_speed("", "serving", &speed(3.0));
-        let two = merge_sim_speed(&one, "faultgen", &speed(5.0));
-        let three = merge_sim_speed(&two, "serving", &speed(4.0));
-        assert_eq!(
-            three,
-            concat!(
-                "{\n",
-                "  \"faultgen\": {\"host_seconds_skip_off\": 2.0, \"host_seconds_skip_on\": 1.0, ",
-                "\"mcycles_per_host_second\": 5.0, \"sim_mcycles\": 5.0, \"skip_speedup\": 2.0},\n",
-                "  \"serving\": {\"host_seconds_skip_off\": 2.0, \"host_seconds_skip_on\": 1.0, ",
-                "\"mcycles_per_host_second\": 4.0, \"sim_mcycles\": 4.0, \"skip_speedup\": 2.0}\n",
-                "}\n"
-            )
-        );
     }
 }

@@ -1,0 +1,487 @@
+//! §7.3: decompose §7.4's mode-switch cost into its §5.1 phases
+//! (`results/switch_timeline.json`).
+//!
+//! Runs the same warmed uniprocessor M-N systems as the `mode_switch`
+//! binary, but with the merctrace probes armed around every switch, and
+//! reports where the cycles of an attach and a detach actually go:
+//! state transfer (page-table writability flips, selector fixups, frame
+//! accounting), per-CPU hardware reload, and the VO pointer swap.
+//!
+//! Four legs, one per path of interest:
+//!
+//! * **attach / detach** — the default ([`TrackingStrategy::DirtyRecompute`])
+//!   path: boot pre-cache + O(dirty) revalidation on attach, snapshot
+//!   retention (O(tables) release) on detach.  This is the headline
+//!   decomposition benchgate budgets against.
+//! * **attach_full / detach_full** — the paper's original
+//!   recompute-on-switch path, kept as the §7.4 anchor (the ~0.22 ms /
+//!   ~0.06 ms numbers).
+//! * **attach_lazy / detach_lazy** — [`TrackingStrategy::LazyValidate`]
+//!   with a fork-and-exit churn before every attach, so each sample has
+//!   both kernel-critical dirty frames (validated synchronously) and
+//!   deferrable ones (enqueued in `lazy_admit` for first-touch
+//!   validation).
+//! * **live_update** — the hv-to-hv update path (DESIGN.md §16): the
+//!   kernel stays virtual while a pre-cached successor hypervisor
+//!   handshakes, rebuilds its frame accounting cold, and commits.
+//!
+//! Emits three artifacts:
+//!
+//! * a markdown per-phase table on stdout (pasted into EXPERIMENTS.md §7.3),
+//! * the `switch_timeline` archive — the same breakdown, machine-readable,
+//! * `results/switch_timeline.trace.json` — one Chrome `trace_event`
+//!   file (open in `about:tracing` / Perfetto) holding the default leg's
+//!   last attach/detach pair and the last live-update, one trace
+//!   process per switch.
+//!
+//! The sum of the phases is checked against the end-to-end switch cost
+//! for every leg: the suite fails if they disagree by more than 1%, so
+//! the decomposition cannot silently drift from the
+//! headline number.  (`lazy_admit` is nested inside
+//! `pginfo_recompute`, so its cycles appear in both rows; at ≤ 1 cycle
+//! per deferred frame the double count stays far inside the 1% band.)
+
+use crate::{Json, Outcome, RESULTS_DIR};
+use mercury::{SwitchOutcome, TrackingStrategy};
+use mercury_workloads::configs::{SysKind, TestBed};
+use simx86::costs::{cycles_to_us, CYCLES_PER_US};
+use std::collections::BTreeMap;
+
+const SAMPLES: u32 = 20;
+
+/// Phase probes in timeline order, for the dirty-baseline attach.
+const ATTACH_PHASES: &[&str] = &[
+    "switch.transfer.flip_tables",
+    "switch.transfer.fix_selectors",
+    "switch.transfer.pginfo_recompute",
+    "switch.transfer.lazy_admit",
+    "switch.transfer.trap_table",
+    "switch.reload_cpu",
+    "switch.vo_swap",
+];
+/// Phase probes for the legacy full-recompute attach.
+const ATTACH_PHASES_FULL: &[&str] = &[
+    "switch.transfer.flip_tables",
+    "switch.transfer.fix_selectors",
+    "switch.transfer.pginfo_full",
+    "switch.transfer.trap_table",
+    "switch.reload_cpu",
+    "switch.vo_swap",
+];
+/// Phase probes for the dirty-baseline detach (snapshot retained).
+const DETACH_PHASES: &[&str] = &[
+    "switch.transfer.pginfo_retain",
+    "switch.transfer.flip_tables",
+    "switch.transfer.fix_selectors",
+    "switch.reload_cpu",
+    "switch.vo_swap",
+];
+/// Phase probes for the legacy detach (wholesale accounting wipe).
+const DETACH_PHASES_FULL: &[&str] = &[
+    "switch.transfer.pginfo_clear",
+    "switch.transfer.flip_tables",
+    "switch.transfer.fix_selectors",
+    "switch.reload_cpu",
+    "switch.vo_swap",
+];
+/// Phase probes for the hypervisor live-update (hv-to-hv, DESIGN.md
+/// §16): handshake, cold successor rebuild, commit, per-CPU reload.
+const UPDATE_PHASES: &[&str] = &[
+    "switch.liveupdate.handshake",
+    "switch.liveupdate.transfer",
+    "switch.vo_swap",
+    "switch.reload_cpu",
+];
+
+/// Accumulated per-phase cycles for one switch direction.
+struct Breakdown {
+    /// Leg label (`attach`, `detach_full`, `attach_lazy`, …).
+    label: &'static str,
+    /// Phase probe names in timeline order.
+    phases: &'static [&'static str],
+    /// Total cycles per phase across all samples.
+    cycles: BTreeMap<&'static str, u64>,
+    /// Total end-to-end cycles ([`SwitchOutcome::Completed`]).
+    total: u64,
+    /// Samples taken.
+    samples: u32,
+}
+
+impl Breakdown {
+    fn new(label: &'static str, phases: &'static [&'static str]) -> Breakdown {
+        Breakdown {
+            label,
+            phases,
+            cycles: BTreeMap::new(),
+            total: 0,
+            samples: 0,
+        }
+    }
+
+    fn add(&mut self, snap: &merctrace::Snapshot, end_to_end: u64) {
+        let spans = snap.span_cycles();
+        for (name, cy) in spans {
+            if self.phases.contains(&name) {
+                *self.cycles.entry(name).or_insert(0) += cy;
+            }
+        }
+        self.total += end_to_end;
+        self.samples += 1;
+    }
+
+    fn phase_mean_us(&self, phase: &str) -> f64 {
+        cycles_to_us(*self.cycles.get(phase).unwrap_or(&0)) / self.samples as f64
+    }
+
+    fn sum_us(&self) -> f64 {
+        self.phases.iter().map(|p| self.phase_mean_us(p)).sum()
+    }
+
+    fn total_us(&self) -> f64 {
+        cycles_to_us(self.total) / self.samples as f64
+    }
+
+    fn markdown(&self) -> String {
+        let mut out = String::new();
+        out.push_str(&format!(
+            "| phase ({}) | mean µs | share |\n|---|---:|---:|\n",
+            self.label
+        ));
+        let total = self.total_us();
+        for p in self.phases {
+            let us = self.phase_mean_us(p);
+            out.push_str(&format!(
+                "| `{}` | {:.2} | {:.1}% |\n",
+                p,
+                us,
+                100.0 * us / total
+            ));
+        }
+        out.push_str(&format!(
+            "| **sum of phases** | **{:.2}** | {:.1}% |\n",
+            self.sum_us(),
+            100.0 * self.sum_us() / total
+        ));
+        out.push_str(&format!("| **end to end** | **{total:.2}** | 100.0% |\n"));
+        out
+    }
+
+    fn json(&self) -> Json {
+        Json::obj([
+            ("samples", self.samples.into()),
+            ("end_to_end_us", self.total_us().into()),
+            ("phase_sum_us", self.sum_us().into()),
+            (
+                "phases_us",
+                Json::obj(
+                    self.phases
+                        .iter()
+                        .map(|p| (*p, self.phase_mean_us(p).into())),
+                ),
+            ),
+        ])
+    }
+}
+
+/// Warm a bed the way `mode_switch` does: a real process and a 128-page
+/// dirty mapping, so the transfer functions have work to do.
+fn warm(bed: &TestBed) -> nimbus::Session {
+    let sess = bed.session(0);
+    sess.exec("lat_proc").expect("exec");
+    let va = sess
+        .mmap(128, nimbus::mm::Prot::RW, nimbus::kernel::MmapBacking::Anon)
+        .expect("mmap");
+    for p in 0..128u64 {
+        sess.poke(simx86::VirtAddr(va.0 + p * 4096), p)
+            .expect("touch");
+    }
+    sess
+}
+
+/// Dirty some *deferrable* frames: a short-lived child maps and touches
+/// pages, then exits.  Its table frames go back to the pool dirty but
+/// no longer kernel-critical — exactly the population `LazyValidate`
+/// defers to first-touch validation — while the fork's COW flips dirty
+/// the parent's (live, critical) tables.
+fn churn(sess: &nimbus::Session) {
+    let child = sess.fork().expect("fork");
+    assert!(
+        sess.waitpid().expect("waitpid").is_none(),
+        "child should still be running"
+    );
+    let va = sess
+        .mmap(32, nimbus::mm::Prot::RW, nimbus::kernel::MmapBacking::Anon)
+        .expect("mmap");
+    for p in 0..32u64 {
+        sess.poke(simx86::VirtAddr(va.0 + p * 4096), p)
+            .expect("touch");
+    }
+    sess.exit(0).expect("exit");
+    assert_eq!(
+        sess.waitpid().expect("waitpid").expect("child exited").0,
+        child,
+        "reaped the churn child"
+    );
+}
+
+/// Run one attach/detach leg: `SAMPLES` round trips on `bed`, phases
+/// split per `attach_phases`/`detach_phases`, with `before_attach` run
+/// (untraced) ahead of every attach.  Returns the two breakdowns plus
+/// the last pair of Chrome traces.
+fn run_leg(
+    bed: &TestBed,
+    labels: (&'static str, &'static str),
+    attach_phases: &'static [&'static str],
+    detach_phases: &'static [&'static str],
+    mut before_attach: impl FnMut(),
+) -> (Breakdown, Breakdown, (String, String)) {
+    let mercury = bed.mercury.as_ref().expect("M-N testbed has mercury");
+    let cpu = bed.machine.boot_cpu();
+    let mut attach = Breakdown::new(labels.0, attach_phases);
+    let mut detach = Breakdown::new(labels.1, detach_phases);
+    let mut last_traces = (String::new(), String::new());
+    for _ in 0..SAMPLES {
+        before_attach();
+        merctrace::reset();
+        merctrace::arm();
+        let SwitchOutcome::Completed { cycles } = mercury.switch_to_virtual(cpu).expect("attach")
+        else {
+            panic!("attach did not complete")
+        };
+        merctrace::disarm();
+        let snap = merctrace::snapshot();
+        assert_eq!(snap.total_dropped(), 0, "trace ring overflowed");
+        attach.add(&snap, cycles);
+        last_traces.0 = merctrace::export::chrome_trace(&snap, CYCLES_PER_US);
+
+        merctrace::reset();
+        merctrace::arm();
+        let SwitchOutcome::Completed { cycles } = mercury.switch_to_native(cpu).expect("detach")
+        else {
+            panic!("detach did not complete")
+        };
+        merctrace::disarm();
+        let snap = merctrace::snapshot();
+        assert_eq!(snap.total_dropped(), 0, "trace ring overflowed");
+        detach.add(&snap, cycles);
+        last_traces.1 = merctrace::export::chrome_trace(&snap, CYCLES_PER_US);
+    }
+    (attach, detach, last_traces)
+}
+
+/// Run the live-update leg: attach once (untraced), then `SAMPLES`
+/// hv-to-hv updates (v1→v2→…), each staged untraced and measured end
+/// to end.  The kernel never leaves virtual mode, so this decomposes
+/// the one cost a live-update adds on top of staying attached.
+fn run_update_leg(bed: &TestBed) -> (Breakdown, String) {
+    let mercury = bed.mercury.as_ref().expect("M-N testbed has mercury");
+    let cpu = bed.machine.boot_cpu();
+    assert!(matches!(
+        mercury.switch_to_virtual(cpu).expect("attach"),
+        SwitchOutcome::Completed { .. }
+    ));
+    let mut update = Breakdown::new("live_update", UPDATE_PHASES);
+    let mut last_trace = String::new();
+    for i in 0..SAMPLES {
+        let next = xenon::Hypervisor::warm_up_versioned(&bed.machine, i + 2);
+        mercury.stage_update(next).expect("stage update");
+        merctrace::reset();
+        merctrace::arm();
+        let SwitchOutcome::Completed { cycles } = mercury.live_update(cpu).expect("live-update")
+        else {
+            panic!("live-update did not complete")
+        };
+        merctrace::disarm();
+        let snap = merctrace::snapshot();
+        assert_eq!(snap.total_dropped(), 0, "trace ring overflowed");
+        update.add(&snap, cycles);
+        last_trace = merctrace::export::chrome_trace(&snap, CYCLES_PER_US);
+    }
+    assert_eq!(mercury.hv_version(), SAMPLES + 1, "versions must march");
+    (update, last_trace)
+}
+
+/// Run every leg, print the tables, write the Chrome trace.
+pub fn run() -> Outcome {
+    const {
+        assert!(
+            merctrace::ENABLED,
+            "switch_timeline needs the merctrace probes compiled in"
+        )
+    };
+    merctrace::init(merctrace::DEFAULT_RING_CAPACITY);
+
+    // Headline leg: the default dirty-baseline strategy, warmed like
+    // `mode_switch`.  Between round trips nothing runs, so samples past
+    // the first decompose the steady O(dirty)+O(tables) switch.
+    let bed = TestBed::build_mn_with_strategy(1, TrackingStrategy::default());
+    let _sess = warm(&bed);
+    let (attach, detach, traces) = run_leg(
+        &bed,
+        ("attach", "detach"),
+        ATTACH_PHASES,
+        DETACH_PHASES,
+        || {},
+    );
+
+    // Anchor leg: the paper's full recompute (§7.4's ~0.22 ms / ~0.06 ms).
+    let bed_full = TestBed::build(SysKind::MN, 1);
+    let _sess_full = warm(&bed_full);
+    let (attach_full, detach_full, _) = run_leg(
+        &bed_full,
+        ("attach_full", "detach_full"),
+        ATTACH_PHASES_FULL,
+        DETACH_PHASES_FULL,
+        || {},
+    );
+
+    // Lazy leg: fault-driven admission with a churn before every attach
+    // so each sample defers real frames through `lazy_admit`.
+    let bed_lazy = TestBed::build_mn_with_strategy(1, TrackingStrategy::LazyValidate);
+    let sess_lazy = bed_lazy.session(0);
+    let (attach_lazy, detach_lazy, _) = run_leg(
+        &bed_lazy,
+        ("attach_lazy", "detach_lazy"),
+        ATTACH_PHASES,
+        DETACH_PHASES,
+        || churn(&sess_lazy),
+    );
+
+    // Live-update leg: hv-to-hv on a warmed virtual-mode bed (§6 live
+    // VMM update, DESIGN.md §16) — the kernel never detaches to native.
+    let bed_update = TestBed::build_mn_with_strategy(1, TrackingStrategy::default());
+    let _sess_update = warm(&bed_update);
+    let (update, update_trace) = run_update_leg(&bed_update);
+
+    println!("Mode-switch timeline ({SAMPLES} samples per leg)\n");
+    println!("Default strategy (dirty-recompute, boot pre-cache):\n");
+    println!("{}", attach.markdown());
+    println!("{}", detach.markdown());
+    println!("Legacy anchor (recompute-on-switch):\n");
+    println!("{}", attach_full.markdown());
+    println!("{}", detach_full.markdown());
+    println!("Lazy fault-driven admission (lazy-validate, churned):\n");
+    println!("{}", attach_lazy.markdown());
+    println!("{}", detach_lazy.markdown());
+    println!("Hypervisor live-update (hv-to-hv, kernel stays virtual):\n");
+    println!("{}", update.markdown());
+
+    let legs = [
+        &attach,
+        &detach,
+        &attach_full,
+        &detach_full,
+        &attach_lazy,
+        &detach_lazy,
+        &update,
+    ];
+    // Keep the default leg's last attach/detach pair plus the last
+    // live-update as the Chrome trace (the other legs differ only in
+    // the accounting phase), each switch as its own trace process.
+    let path = format!("{RESULTS_DIR}/switch_timeline.trace.json");
+    std::fs::create_dir_all(RESULTS_DIR).expect("create results/");
+    let merged = merge_chrome_traces(&[
+        ("attach", &traces.0),
+        ("detach", &traces.1),
+        ("live_update", &update_trace),
+    ]);
+    std::fs::write(&path, merged).unwrap_or_else(|e| panic!("write {path}: {e}"));
+    eprintln!("wrote {path}");
+
+    // The decomposition must account for the headline number: phases sum
+    // within 1% of the end-to-end cost (§7.4, the `mode_switch` archive).
+    let mut ok = true;
+    for b in legs {
+        let gap = (b.sum_us() - b.total_us()).abs() / b.total_us();
+        if gap > 0.01 {
+            eprintln!(
+                "FAIL: {} phases sum to {:.2} µs but end-to-end is {:.2} µs ({:.2}% apart)",
+                b.label,
+                b.sum_us(),
+                b.total_us(),
+                100.0 * gap
+            );
+            ok = false;
+        }
+    }
+    Outcome {
+        name: "switch_timeline",
+        metrics: Json::obj(legs.iter().map(|b| (b.label, b.json()))),
+        ok,
+    }
+}
+
+/// One Chrome trace holding each `(label, trace)` as its own trace
+/// process (pid = position), from traces written by
+/// `merctrace::export::chrome_trace`.  That exporter writes one event
+/// per line, all with `"pid":0`, between a fixed header and footer;
+/// the tests below pin that layout.
+fn merge_chrome_traces(traces: &[(&str, &str)]) -> String {
+    let mut events = Vec::new();
+    for (pid, (label, trace)) in traces.iter().enumerate() {
+        events.push(format!(
+            "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"args\":{{\"name\":\"{label}\"}}}}"
+        ));
+        let body = trace
+            .strip_prefix("{\"traceEvents\":[\n")
+            .and_then(|t| t.split_once("\n],").map(|(events, _)| events))
+            .expect("merctrace chrome_trace layout");
+        events.extend(body.lines().map(|e| {
+            e.trim_end_matches(',')
+                .replacen("\"pid\":0", &format!("\"pid\":{pid}"), 1)
+        }));
+    }
+    format!(
+        "{{\"traceEvents\":[\n{}\n],\"displayTimeUnit\":\"ms\"}}\n",
+        events.join(",\n")
+    )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::merge_chrome_traces;
+    use merctrace::{export::chrome_trace, CpuTrace, Kind, Record, Snapshot};
+
+    fn snapshot(records: Vec<Record>) -> Snapshot {
+        Snapshot {
+            probes: vec!["switch.attach"],
+            cpus: vec![CpuTrace {
+                cpu: 1,
+                records,
+                dropped: 0,
+            }],
+            counters: Vec::new(),
+            hists: Vec::new(),
+            out_of_range: 0,
+        }
+    }
+
+    #[test]
+    fn merged_chrome_trace_tags_each_switch_with_its_own_pid() {
+        let empty = chrome_trace(&snapshot(Vec::new()), 1_000);
+        let span = |kind, ts| Record {
+            ts,
+            probe: 0,
+            kind,
+            value: 0,
+        };
+        let one_span = chrome_trace(
+            &snapshot(vec![
+                span(Kind::SpanBegin, 1_000),
+                span(Kind::SpanEnd, 3_500),
+            ]),
+            1_000,
+        );
+        assert_eq!(
+            merge_chrome_traces(&[("empty", &empty), ("attach", &one_span)]),
+            concat!(
+                "{\"traceEvents\":[\n",
+                "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"args\":{\"name\":\"empty\"}},\n",
+                "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"args\":{\"name\":\"attach\"}},\n",
+                "{\"name\":\"switch.attach\",\"cat\":\"mercury\",\"ph\":\"B\",\"ts\":1,\"pid\":1,\"tid\":1},\n",
+                "{\"name\":\"switch.attach\",\"cat\":\"mercury\",\"ph\":\"E\",\"ts\":3.5,\"pid\":1,\"tid\":1}\n",
+                "],\"displayTimeUnit\":\"ms\"}\n"
+            )
+        );
+    }
+}

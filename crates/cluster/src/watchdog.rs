@@ -92,7 +92,7 @@ pub enum RecoveryAction {
 }
 
 impl RecoveryAction {
-    /// Stable identifier used in reports and `faultgen_results.json`.
+    /// Stable identifier used in reports and `results/faults.json`.
     pub fn as_str(self) -> &'static str {
         match self {
             RecoveryAction::MemoryScrub => "memory-scrub",
@@ -125,8 +125,12 @@ pub struct FaultReport {
     /// `true` if this fault was recovered on the degraded native path
     /// because the attach rendezvous failed.
     pub degraded: bool,
-    /// Whether the recovery action succeeded.
+    /// Whether the fault was recovered: by its own recovery action or,
+    /// for a live-update that rolled back, by the next completed one.
     pub recovered: bool,
+    /// Simulated cycle at which the recovery completed (`None` while
+    /// the fault is unrecovered).
+    pub recovered_cycle: Option<u64>,
 }
 
 /// The reactive watchdog for one node.
@@ -254,6 +258,7 @@ impl Watchdog {
             if recovered {
                 merctrace::counter!(cpu.id, "watchdog.fault.recovered", 1, cpu.cycles());
             }
+            let recovered_cycle = recovered.then(|| cpu.cycles());
             self.reports.push(FaultReport {
                 fault_id: signal.fault_id,
                 class: signal.class,
@@ -263,6 +268,7 @@ impl Watchdog {
                 attach_attempts,
                 degraded: self.degraded,
                 recovered,
+                recovered_cycle,
             });
         }
         n
@@ -408,8 +414,19 @@ impl Watchdog {
                 if updated {
                     // The successor's table was rebuilt wholesale, so
                     // every earlier rolled-back suspicion is healed too.
-                    for id in self.suspected.drain(..) {
-                        faultgen::resolve(id);
+                    for id in std::mem::take(&mut self.suspected) {
+                        if faultgen::resolve(id) {
+                            if let Some(r) = self.reports.iter_mut().rfind(|r| r.fault_id == id) {
+                                r.recovered = true;
+                                r.recovered_cycle = Some(cpu.cycles());
+                                merctrace::counter!(
+                                    cpu.id,
+                                    "watchdog.fault.recovered",
+                                    1,
+                                    cpu.cycles()
+                                );
+                            }
+                        }
                     }
                 } else {
                     self.suspected.push(signal.fault_id);

@@ -35,7 +35,7 @@ pub enum FaultClass {
 }
 
 impl FaultClass {
-    /// Stable identifier used in reports and `faultgen_results.json`.
+    /// Stable identifier used in reports and `results/faults.json`.
     pub fn as_str(self) -> &'static str {
         match self {
             FaultClass::MemBitFlip => "mem-bit-flip",

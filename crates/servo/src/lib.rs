@@ -27,7 +27,7 @@
 //! serving run is a pure function of its seed: the `serving_tail`
 //! bench runs every scenario twice in-process and requires
 //! bit-identical request records before archiving
-//! `serving_results.json`.
+//! `results/serving.json`.
 //!
 //! The scheduler interoperates with the rest of the suite: the run
 //! hooks let a [`mercury_cluster::Watchdog`] poll (and attach/detach)

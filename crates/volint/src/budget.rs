@@ -2,7 +2,7 @@
 //!
 //! The switch path is instrumented with `merctrace` spans whose probe
 //! names (`switch.transfer.flip_tables`, `switch.reload_cpu`, …) are
-//! exactly the phase keys of the measured `switch_timeline.json`.
+//! exactly the phase keys of the measured `results/switch_timeline.json`.
 //! This module walks every span region and sums a *worst-case* cycle
 //! count for it:
 //!
@@ -28,7 +28,7 @@ use crate::parse::{FnBody, ParsedFile};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Simulated clock rate; keep in sync with `simx86`'s cycle-to-µs
-/// conversion (3 GHz: `switch_timeline.json` reports 2950 cycles as
+/// conversion (3 GHz: `results/switch_timeline.json` reports 2950 cycles as
 /// 0.98333 µs).
 pub const CYCLES_PER_US: u64 = 3000;
 

@@ -179,10 +179,10 @@ fn host_domu(
     );
     let p = hv.evtchn_alloc(cpu, driver_dom).expect("evtchn");
     let pf = hv.evtchn_bind(cpu, &domu, driver_dom.id, p).expect("bind");
-    // Use the domU's own free frames for payload buffers.
-    let frames = domu.frames();
-    let blk_buf = frames[frames.len() - 1];
-    let net_buf = frames[frames.len() - 2];
+    // Payload buffers come from the domU's own memory, reserved from its
+    // kernel's pool so no page table or user page can land on them.
+    let payload = kernel.reserve_frames(cpu, 2).expect("payload frames");
+    let (blk_buf, net_buf) = (payload[0], payload[1]);
     kernel.set_block_driver(FrontendBlockDriver::new(
         Arc::clone(hv),
         Arc::clone(&domu),
@@ -507,6 +507,41 @@ mod tests {
                 assert_eq!(data, b"probe");
             }
             other => panic!("{other:?}"),
+        }
+    }
+
+    /// The split-device payload buffers are reserved out of the guest
+    /// kernel's pool: take every frame the pool still hands out, fill
+    /// it, drive block and network I/O through the frontends, and no
+    /// filled frame may change.
+    #[test]
+    fn guest_kernel_never_allocates_a_payload_frame() {
+        for kind in [SysKind::XU, SysKind::MU] {
+            let bed = TestBed::build(kind, 1);
+            let cpu = bed.machine.boot_cpu();
+            let mem = &bed.machine.mem;
+            let mut free = Vec::new();
+            while let Ok(f) = bed.kernel.reserve_frames(cpu, 1) {
+                free.extend(f);
+            }
+            assert!(!free.is_empty(), "{kind:?}: the pool had free frames");
+            let fill = vec![0xA5u8; 4096];
+            for f in &free {
+                mem.write_bytes(f.base(), &fill).unwrap();
+            }
+            let block = vec![0x5Au8; nimbus::fs::BLOCK_SIZE];
+            let blk = bed.kernel.block_driver().unwrap();
+            blk.write_block(cpu, 0, &block).unwrap();
+            bed.kernel
+                .net_driver()
+                .unwrap()
+                .send(cpu, b"probe")
+                .unwrap();
+            let mut back = vec![0u8; 4096];
+            for f in &free {
+                mem.read_bytes(f.base(), &mut back).unwrap();
+                assert!(back == fill, "{kind:?}: I/O wrote into pool frame {f:?}");
+            }
         }
     }
 

@@ -1,103 +1,65 @@
 #!/usr/bin/env python3
-"""CI perf-regression gate over the archived switch benchmarks.
+"""CI perf-regression gate over the `results/` archives.
 
-Re-runs the two switch benchmarks (`mode_switch`, `switch_timeline`),
-loads the JSON they emit, and compares every metric against the copies
-archived at the repo root (`bench_results.json`'s "mode_switch" section
-and `switch_timeline.json`) within declared tolerance bands.  Prints a
-per-metric delta table and exits non-zero if any metric **regressed**
-(got slower beyond its band).  Improvements beyond the band are
-reported but do not fail the gate — they mean the archive should be
-refreshed, which is a deliberate human action, not a CI failure.
+Every archive in `results/` has the shape `{"provenance": {commit,
+command, seed, rustc, host, wall_s}, "metrics": {...}}`, and the
+`mercury-bench` binary `all` regenerates every one of them in a single
+process.  With no arguments the gate cargo-runs `all` in
+`target/benchgate/` and gates the fresh `target/benchgate/results/`
+against the committed `results/`; `--results DIR` gates archives
+generated elsewhere (the nightly campaign runs) instead.  Every archive
+present in the fresh directory is gated three ways:
+
+* **Provenance.**  The fresh and the committed archive must both carry
+  all six provenance fields (`seed` may be null for suites that take
+  none), or the gate fails.
+* **Bands.**  Metrics are compared with the committed archive inside
+  declared tolerance bands, but only when both came from the same
+  command (`provenance.command`): a `--campaign` run is not
+  comparable with the full-size archive.  A slowdown beyond its
+  band fails; an improvement beyond it is reported, because refreshing
+  the archive is a deliberate human action, not a CI failure.
+* **Hard checks.**  Ceilings and invariants apply to every fresh run,
+  whatever the command, and a regressed archive cannot grandfather a
+  breach in.
 
 Tolerance bands
 ---------------
-The switch paths run entirely on the simulated cycle clock, so on a
-uniprocessor bed they are *simulation-deterministic*: identical on
-every host, every run.  Those metrics get a tight band (1%) that exists
-only to absorb float formatting.  The sharded-recompute metrics involve
-real host threads servicing rendezvous peers; the simulated makespan
-depends on host scheduling, so they get a wide band (50%) plus a floor
-on the speedup itself.
+The uniprocessor switch paths run entirely on the simulated cycle
+clock, so they are identical on every host, every run; their tight
+band (1%) only absorbs float formatting.  The sharded-recompute
+makespan depends on host scheduling of real rendezvous-peer threads,
+so it gets a wide band (50%).  Serving and fleet tails are
+simulation-deterministic per seed but move with legitimate code
+changes; their bands flag step changes, not drift.  Simulated
+throughput (host time) must stay above 80% of the archived value, but
+only when both archives also name the same host (`provenance.host`):
+host time from another machine says nothing about the code.
 
-Static budget cross-check
--------------------------
-Every measured switch phase is also checked against the *static* cycle
-budget committed at the repo root (`volint_budget.json`, emitted by
-`cargo run -p volint -- --budget volint_budget.json`).  A measurement
-above its budget means the volint cost model drifted under the code —
-the annotations no longer describe what the switch path does — and the
-gate fails.  A phase with no budget entry at all fails for the same
-reason.  A budget *far* above its measurement (>400x) is reported as a
-stale-bounds note: the annotations are over-claiming, tighten them.
-
-Serving tail gate
------------------
-With `--serving` (or whenever `--results DIR` holds a full-size
-`serving_results.json`), the serving-tail sweep is gated too: the
-virtualization-inflation ratios and the absolute p99 anchors of the
-steady-virtual and switch-under-load scenarios must stay inside ~5%
-bands of the archived copies.  On top of the relative bands, the
-switch-under-load p99 inflation has a *hard absolute ceiling* of 2.0x
-steady native (`SERVING_INFLATION_CEILINGS`): the always-on dirty
-baseline makes a mode switch a tail event comparable to an unlucky
-queueing burst, not a 16x outlier, and the gate holds that line even
-if someone re-archives a regressed run.  The hypervisor live-update
-scenario (`serving_tail --live-update`) is gated the same way: the
-update-under-load p99 inflation carries its own hard 2.0x ceiling.
-Quick-sized runs (`"quick": true`) are not comparable and are skipped
-with a note.
-
-Provisional archives
---------------------
-Hand-written archive entries (added before the first real full-size
-run exists) are marked provisional — `"provisional": true` inside a
-switch-timeline leg, a key listed in `provisional_inflation` inside
-`serving_results.json`, or `"provisional": true` at the top of
-`fleet_results.json` — and are excluded from band comparison with a
-loud note until re-archived from a real run.  Hard ceilings and the
-static-budget cross-check still apply to the fresh measurements:
-provisional status skips the *bands*, never the invariants.
-
-Simulated-speed gate
---------------------
-With `--sim-speed PATH` the gate runs in a dedicated mode that checks
-*only* the simulated-throughput file the campaign binaries emit
-(`sim_speed.json`, one entry per suite) against the archived copy at
-the repo root (DESIGN.md §14.3, EXPERIMENTS.md "Campaign scale").  For every suite
-present in both files, `mcycles_per_host_second` must stay above 80%
-of the archived value — the event-driven time skip is a performance
-feature, and a regression here means idle spans stopped
-fast-forwarding.  The `skip_speedup` factor must additionally stay
-≥ 1.0: the skip-on pass may never be slower than the quantum-ticking
-pass.  Suites missing from either side are skipped with a note (the
-archived file is refreshed deliberately, not by CI).
-
-Fleet gate
-----------
-With `--fleet PATH` the gate runs in a dedicated mode over the
-fleet-scale serving run (`serving_tail --fleet`, DESIGN.md §15).  The
-fresh `fleet_results.json` at PATH must satisfy hard invariants that no
-archive can grandfather away: **zero lost requests** (every offered
-request is accounted as completed or shed — a request that vanished
-mid-migration is the bug this gate exists to catch), two-pass
-determinism `"verified"`, total accounting (`offered == completed +
-shed`), a hard ceiling on the worst migration downtime, and a hard
-absolute ceiling on the fleet p999.  On top of the invariants, the
-tails and median downtime are banded against the archived repo-root
-`fleet_results.json` — unless the archived copy is marked
-`"provisional": true` (hand-written before the first real run), in
-which case the comparison is skipped with a loud note to re-archive
-from a real run.  Runs of different sizing (`mode` mismatch) are not
-compared either.
+Hard checks
+-----------
+* `mode_switch`: the sharded recompute beats serial by at least 1.5x.
+* `switch_timeline`: every measured phase fits its static cycle budget
+  in `volint_budget.json`, every leg fits the sum of its phase budgets,
+  and a phase with no budget entry fails (the volint cost model drifted
+  under the code).  A budget over 400x its measurement is a stale-bounds
+  note.
+* `faults`: two-pass determinism `verified`, at least one recovered
+  fault.
+* `serving`: determinism, every scenario completed requests, and the
+  switch- and update-under-load p99 inflation stays under 2.0x steady
+  native: under the always-on dirty baseline a mode switch or a live
+  update landing mid-stream must read as a tail event, not an outage.
+* `fleet`: determinism, zero lost requests, `offered == completed +
+  shed`, every evacuation re-homed (`migrations == 2 x evacuations`),
+  and ceilings on the worst migration downtime and the fleet p999.
+* `faults`, `serving`: the event-clock skip never loses to quantum
+  ticking (`sim_speed.skip_speedup >= 1.0`).
 
 Usage
 -----
-    python3 tools/benchgate.py            # cargo-run both benches, compare
-    python3 tools/benchgate.py --results DIR   # compare pre-generated JSONs
-    python3 tools/benchgate.py --serving  # also run + gate the serving sweep
-    python3 tools/benchgate.py --sim-speed PATH  # gate only sim throughput
-    python3 tools/benchgate.py --fleet PATH      # gate only the fleet run
+    python3 tools/benchgate.py                 # run `all`, gate every archive
+    python3 tools/benchgate.py --results DIR   # gate the archives in DIR
 
 Stdlib only; no third-party imports.
 """
@@ -105,30 +67,34 @@ Stdlib only; no third-party imports.
 import argparse
 import json
 import os
+import shutil
 import subprocess
 import sys
-import tempfile
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-# (archived-section-path, fresh-section-path, metric, rel_tol, abs_floor_us)
-# rel_tol is the allowed relative slowdown; abs_floor_us absorbs noise on
-# metrics whose absolute value is tiny (a 10% band on 0.02 µs is silly).
+ARCHIVES = ("paper", "mode_switch", "switch_timeline", "faults", "serving", "fleet")
+PROVENANCE = ("commit", "command", "seed", "rustc", "host", "wall_s")
+
+# (section, metric, rel_tol, abs_floor_us).  rel_tol is the allowed
+# relative slowdown; abs_floor_us absorbs noise on metrics whose
+# absolute value is tiny (a 10% band on 0.02 µs is silly).
 MODE_SWITCH_CHECKS = [
-    (("recompute",), ("recompute_on_switch",), "attach_us", 0.01, 0.05),
-    (("recompute",), ("recompute_on_switch",), "detach_us", 0.01, 0.05),
-    (("dirty_recompute",), ("dirty_recompute",), "attach_us", 0.01, 0.05),
+    ("recompute_on_switch", "attach_us", 0.01, 0.05),
+    ("recompute_on_switch", "detach_us", 0.01, 0.05),
+    ("dirty_recompute", "attach_us", 0.01, 0.05),
     # With the boot-time pre-cache the "cold" attach only pays for the
     # frames the warm-up dirtied since install — a handful of tables, so
     # the metric sits near the warm number and a small change in the
     # warm-up's table layout moves it by whole frames.  Wider floor.
-    (("dirty_recompute",), ("dirty_recompute",), "cold_attach_us", 0.01, 0.5),
-    (("dirty_recompute",), ("dirty_recompute",), "warm_attach_us", 0.01, 0.05),
-    (("dirty_recompute",), ("dirty_recompute",), "detach_us", 0.01, 0.05),
+    ("dirty_recompute", "cold_attach_us", 0.01, 0.5),
+    ("dirty_recompute", "warm_attach_us", 0.01, 0.05),
+    ("dirty_recompute", "detach_us", 0.01, 0.05),
     # Host-thread-timing dependent: wide band.
-    (("sharded_recompute",), ("sharded_recompute",), "serial_pginfo_us", 0.01, 0.05),
-    (("sharded_recompute",), ("sharded_recompute",), "sharded_pginfo_us", 0.50, 1.0),
+    ("sharded_recompute", "serial_pginfo_us", 0.01, 0.05),
+    ("sharded_recompute", "sharded_pginfo_us", 0.50, 1.0),
 ]
+SHARDED_SPEEDUP_FLOOR = 1.5
 
 TIMELINE_PHASE_TOL = 0.01
 TIMELINE_PHASE_FLOOR = 0.05  # µs — phases like flip_tables sit at 0.02 µs
@@ -150,15 +116,7 @@ SERVING_INFLATION_CHECKS = [
     ("update_under_load_p999", 0.05, 0.10),
 ]
 
-# Hard absolute ceilings on the fresh inflation ratios, independent of
-# what is archived: re-archiving a regressed run must not move these.
-# A mode switch under the always-on dirty baseline costs O(dirty) +
-# O(tables), so a switch landing under load reads as an unlucky
-# queueing burst (< 2x the steady-native p99), not the 16x full
-# recompute stall the paper's strategy produced.  A hypervisor
-# live-update holds the same line: the hv-to-hv transfer reuses the
-# dirty-bounded attach machinery, so an update landing mid-stream must
-# also read as a tail event, not an outage.
+# Hard absolute ceilings on the fresh inflation ratios.
 SERVING_INFLATION_CEILINGS = {
     "switch_under_load_p99": 2.0,
     "update_under_load_p99": 2.0,
@@ -170,27 +128,22 @@ SERVING_SCENARIO_CHECKS = [
     ("switch-under-load-1cpu", "p99_us", 0.05, 1.0),
 ]
 
-# Simulated-throughput gate: fresh mcycles_per_host_second below this
-# fraction of the archived value fails.  Host timing is noisy, so the
-# band is wide; what it catches is the qualitative regression where
-# idle spans stop fast-forwarding (a ~10-100x cliff, not a 10% drift).
+# Fresh mcycles_per_host_second below this fraction of the archived
+# value fails.  Host timing is noisy, so the band is wide; what it
+# catches is idle spans no longer fast-forwarding (a ~10-100x cliff).
 SIM_SPEED_MIN_FRACTION = 0.8
 
-# Fleet-gate hard ceilings (absolute, fresh-run only — an archived
-# regression cannot grandfather a breach in).  The per-node serving
-# p999 sits near 20 µs; a fleet request that ever waits out a
-# stop-and-copy or a storage copy would land in the millisecond range,
-# so 1 ms catches the qualitative failure (migration blocking the
-# serving path) with wide headroom over queueing noise.  The downtime
-# ceiling bounds the worst single stop-and-copy + storage-copy window;
-# a pre-copy that stopped converging blows through it.
+# The per-node serving p999 sits near 20 µs; a fleet request that ever
+# waits out a stop-and-copy or a storage copy lands in the millisecond
+# range, so 1 ms catches migration blocking the serving path with wide
+# headroom over queueing noise.  The downtime ceiling bounds the worst
+# single stop-and-copy + storage-copy window; a pre-copy that stopped
+# converging blows through it.
 FLEET_P999_CEILING_US = 1_000.0
 FLEET_DOWNTIME_CEILING_US = 50_000.0
 
-# Relative bands against the archived fleet run (same sizing only):
-# (key path, rel_tol, abs_floor_us).  Tails are simulation-
-# deterministic per seed, but code changes legitimately move them;
-# the band flags step changes, not drift.
+# Relative bands against the archived fleet run: (key path, rel_tol,
+# abs_floor_us).
 FLEET_ARCHIVE_CHECKS = [
     (("p50_us",), 0.25, 2.0),
     (("p99_us",), 0.25, 2.0),
@@ -205,7 +158,9 @@ def dig(obj, path):
     return obj
 
 
-def run_bench(binary, cwd, extra=()):
+def run_all(cwd):
+    """Cargo-run `all` in `cwd`: archives land in `cwd/results/`, the
+    printed tables in `cwd/all.log`.  Returns the exit code."""
     cmd = [
         "cargo",
         "run",
@@ -217,22 +172,23 @@ def run_bench(binary, cwd, extra=()):
         "-p",
         "mercury-bench",
         "--bin",
-        binary,
+        "all",
     ]
-    if extra:
-        cmd.append("--")
-        cmd.extend(extra)
-    print(f"benchgate: running {binary} …", flush=True)
-    subprocess.run(cmd, cwd=cwd, check=True, env={**os.environ, "CARGO_TARGET_DIR": os.path.join(REPO, "target")})
+    print("benchgate: running all …", flush=True)
+    env = {**os.environ, "CARGO_TARGET_DIR": os.path.join(REPO, "target")}
+    with open(os.path.join(cwd, "all.log"), "w") as log:
+        return subprocess.run(cmd, cwd=cwd, env=env, stdout=log).returncode
 
 
 class Gate:
     def __init__(self):
-        self.rows = []
+        self.rows = []  # (name, archived or limit, fresh, band, status)
         self.regressions = []
         self.improvements = []
+        self.notes = []
 
     def check(self, name, archived, fresh, rel_tol, abs_floor):
+        """Band check: fresh may not exceed archived by more than the band."""
         delta = fresh - archived
         band = max(abs(archived) * rel_tol, abs_floor)
         if delta > band:
@@ -243,25 +199,86 @@ class Gate:
             self.improvements.append(name)
         else:
             status = "ok"
-        self.rows.append((name, archived, fresh, delta, band, status))
+        self.rows.append((name, archived, fresh, band, status))
 
-    def report(self):
-        w = max(len(r[0]) for r in self.rows) if self.rows else 10
-        print(f"\n{'metric'.ljust(w)} | archived µs | fresh µs | delta µs | band µs | status")
-        print(f"{'-' * w}-|------------:|---------:|---------:|--------:|-------")
-        for name, a, f, d, band, status in self.rows:
+    def hard(self, name, ok, limit, fresh, why, band="hard"):
+        """Pass/fail check of `fresh` against `limit`; `why` explains a failure."""
+        self.rows.append((name, limit, fresh, band, "ok" if ok else "REGRESSED"))
+        if not ok:
+            self.regressions.append(f"{name} ({why})")
+
+    def info(self, name, archived, fresh, status):
+        self.rows.append((name, archived, fresh, "", status))
+
+    def finish(self):
+        """Print the table, notes and verdict; return the exit code."""
+        def show(x):
+            if isinstance(x, float):
+                return f"{x:.4f}"
+            return "" if x is None else str(x)
+
+        w = max([len(r[0]) for r in self.rows] + [6])
+        print(f"\n{'metric'.ljust(w)} | {'archived/limit':>14} | {'fresh':>12} | {'band':>8} | status")
+        print(f"{'-' * w}-|{'-' * 16}|{'-' * 14}|{'-' * 10}|-------")
+        for name, ref, fresh, band, status in self.rows:
+            print(f"{name.ljust(w)} | {show(ref):>14} | {show(fresh):>12} | {show(band):>8} | {status}")
+        for note in self.notes:
+            print(f"\nbenchgate: note — {note}")
+        if self.improvements:
             print(
-                f"{name.ljust(w)} | {a:11.4f} | {f:8.4f} | {d:+8.4f} | {band:7.4f} | {status}"
+                f"\nbenchgate: {len(self.improvements)} metric(s) improved beyond their band "
+                f"— consider refreshing results/: {', '.join(self.improvements)}"
             )
+        if self.regressions:
+            print(f"\nbenchgate: FAIL — {len(self.regressions)} regression(s):", file=sys.stderr)
+            for r in self.regressions:
+                print(f"  {r}", file=sys.stderr)
+            return 1
+        print("\nbenchgate: PASS")
+        return 0
 
 
-def gate_budget(gate, fresh_tl, notes):
+def provenance_gaps(doc):
+    """The provenance fields (and sections) `doc` lacks; `seed` may be null."""
+    prov = doc.get("provenance")
+    if not isinstance(prov, dict):
+        return list(PROVENANCE)
+    missing = [k for k in PROVENANCE if k not in prov or (k != "seed" and prov[k] in (None, ""))]
+    return missing + ([] if "metrics" in doc else ["metrics"])
+
+
+def gate_determinism(gate, name, fresh):
+    d = fresh.get("determinism")
+    gate.hard(f"{name}.determinism", d == "verified", "verified", d, f"two-pass check reported {d!r}")
+
+
+def gate_sim_speed(gate, name, archived, fresh):
+    speed = fresh["sim_speed"]
+    if archived is not None and "sim_speed" in archived:
+        # A band in effect (same command and host only), but one-sided
+        # on a ratio.
+        a_tp = archived["sim_speed"]["mcycles_per_host_second"]
+        f_tp = speed["mcycles_per_host_second"]
+        floor = a_tp * SIM_SPEED_MIN_FRACTION
+        gate.hard(
+            f"{name}.sim_speed.mcycles_per_host_second",
+            f_tp >= floor,
+            floor,
+            f_tp,
+            f"below {SIM_SPEED_MIN_FRACTION:.0%} of archived {a_tp:.1f} — idle spans likely stopped fast-forwarding",
+            band=f">={SIM_SPEED_MIN_FRACTION:.0%}",
+        )
+    s = speed["skip_speedup"]
+    gate.hard(f"{name}.sim_speed.skip_speedup", s >= 1.0, 1.0, s, f"{s:.3f} < 1.0 — the skip-on pass lost to quantum ticking")
+
+
+def gate_budget(gate, fresh_tl):
     """Measured phase times vs the committed static cycle budget.
 
     Every leg the timeline emits is cross-checked — the default
-    attach/detach, the recompute-on-switch anchors (`*_full`), and the
-    lazy-validate legs (`*_lazy`) — so a phase without a volint budget
-    entry cannot hide in a secondary leg.
+    attach/detach, the recompute-on-switch anchors (`*_full`), the
+    lazy-validate legs (`*_lazy`) and the live update — so a phase
+    without a volint budget entry cannot hide in a secondary leg.
     """
     with open(os.path.join(REPO, "volint_budget.json")) as f:
         budget = json.load(f)["phases"]
@@ -271,271 +288,180 @@ def gate_budget(gate, fresh_tl, notes):
             name = f"budget.{leg}.{phase}"
             entry = budget.get(phase)
             if entry is None:
-                gate.rows.append((name, float("nan"), fresh_us, float("nan"), 0.0, "REGRESSED"))
-                gate.regressions.append(
-                    f"{name} (no static budget for this phase — annotate its span "
-                    f"costs and regenerate volint_budget.json)"
-                )
+                gate.hard(name, False, None, fresh_us, "no static budget for this phase — annotate its span costs and regenerate volint_budget.json")
                 continue
             budget_us = entry["us"]
             leg_budget_sum += budget_us
-            if fresh_us > budget_us:
-                status = "REGRESSED"
-                gate.regressions.append(
-                    f"{name} (measured {fresh_us:.3f} µs breaches the static budget "
-                    f"{budget_us:.3f} µs — the volint cost model drifted under the code)"
+            gate.hard(
+                name,
+                fresh_us <= budget_us,
+                budget_us,
+                fresh_us,
+                f"measured {fresh_us:.3f} µs breaches the static budget {budget_us:.3f} µs — the volint cost model drifted under the code",
+            )
+            if BUDGET_STALE_MIN_US <= fresh_us <= budget_us and budget_us / fresh_us > BUDGET_STALE_RATIO:
+                gate.notes.append(
+                    f"{name}: static budget {budget_us:.3f} µs is {budget_us / fresh_us:.0f}x the "
+                    f"measured {fresh_us:.3f} µs — bounds look stale, consider tightening the annotations"
                 )
-            else:
-                status = "ok"
-                if fresh_us >= BUDGET_STALE_MIN_US and budget_us / fresh_us > BUDGET_STALE_RATIO:
-                    notes.append(
-                        f"{name}: static budget {budget_us:.3f} µs is "
-                        f"{budget_us / fresh_us:.0f}x the measured {fresh_us:.3f} µs "
-                        f"— bounds look stale, consider tightening the annotations"
-                    )
-            gate.rows.append((name, budget_us, fresh_us, fresh_us - budget_us, 0.0, status))
-
         # The whole leg must fit inside the sum of its phase budgets:
         # un-spanned inter-phase work cannot hide in the gaps.
         e2e = fresh_tl[leg]["end_to_end_us"]
-        name = f"budget.{leg}.end_to_end"
-        if e2e > leg_budget_sum:
-            status = "REGRESSED"
-            gate.regressions.append(
-                f"{name} (end-to-end {e2e:.3f} µs exceeds the summed phase "
-                f"budgets {leg_budget_sum:.3f} µs)"
-            )
-        else:
-            status = "ok"
-        gate.rows.append((name, leg_budget_sum, e2e, e2e - leg_budget_sum, 0.0, status))
-
-
-def gate_serving(gate, archived_sv, fresh_sv, notes):
-    """Tail-latency bands over the serving sweep (full-size runs only)."""
-    if fresh_sv.get("quick"):
-        notes.append(
-            "serving: fresh serving_results.json is --quick sized; tail bands "
-            "are not comparable — serving gate skipped"
-        )
-        return
-    if fresh_sv.get("determinism") != "verified":
-        gate.rows.append(("serving.determinism", 0.0, float("nan"), float("nan"), 0.0, "REGRESSED"))
-        gate.regressions.append(
-            f"serving.determinism (two-pass check reported "
-            f"{fresh_sv.get('determinism')!r}, expected 'verified')"
+        gate.hard(
+            f"budget.{leg}.end_to_end",
+            e2e <= leg_budget_sum,
+            leg_budget_sum,
+            e2e,
+            f"end-to-end {e2e:.3f} µs exceeds the summed phase budgets {leg_budget_sum:.3f} µs",
         )
 
-    archived_inf = archived_sv["inflation_vs_steady_native_1cpu"]
-    fresh_inf = fresh_sv["inflation_vs_steady_native_1cpu"]
-    # Keys the archive marks provisional (hand-written before the first
-    # real run) are ceiling-checked but not banded: a made-up archived
-    # number must neither fail nor bless a fresh one.
-    provisional = set(archived_sv.get("provisional_inflation", ()))
-    for key, rel, floor in SERVING_INFLATION_CHECKS:
-        name = f"serving.inflation.{key}"
-        archived, fresh = archived_inf.get(key), fresh_inf.get(key)
-        if fresh is None:
-            # Optional-scenario key (e.g. the update_under_load pair
-            # only exists when the sweep ran with --live-update).
-            notes.append(f"{name}: not in the fresh run — band skipped")
-            continue
-        if archived is None:
-            notes.append(f"{name}: fresh run has a new inflation key ({fresh:.2f}x) — archive it")
-            gate.rows.append((name, float("nan"), fresh, float("nan"), 0.0, "new key"))
-            continue
-        if key in provisional:
-            notes.append(
-                f"{name}: archived value is PROVISIONAL (hand-written placeholder "
-                f"{archived:.2f}x) — band skipped; re-archive from a real run"
-            )
-            gate.rows.append((name, archived, fresh, fresh - archived, 0.0, "provisional"))
-            continue
-        gate.check(name, archived, fresh, rel, floor)
 
-    # Absolute ceilings are checked against the *fresh* run only — the
-    # archived copy can't grandfather a breach in (and a provisional
-    # archive can't dodge one).
+def gate_mode_switch(gate, archived, fresh):
+    if archived is not None:
+        for section, metric, rel, floor in MODE_SWITCH_CHECKS:
+            gate.check(f"mode_switch.{section}.{metric}", archived[section][metric], fresh[section][metric], rel, floor)
+    # Lower-bounded, not banded: any host should beat serial by a clear
+    # margin on a 4-CPU shard.
+    s = fresh["sharded_recompute"]["speedup"]
+    gate.hard("mode_switch.sharded_recompute.speedup", s >= SHARDED_SPEEDUP_FLOOR, SHARDED_SPEEDUP_FLOOR, s, f"{s:.2f}x below the serial-beating floor")
+
+
+def gate_switch_timeline(gate, archived, fresh):
+    # Every archived leg and phase is banded; one missing from the fresh
+    # run is a regression, a brand-new one is informational.
+    for leg in sorted(archived or ()):
+        a_leg = archived[leg]
+        if leg not in fresh:
+            gate.hard(f"switch_timeline.{leg}", False, a_leg["end_to_end_us"], None, "leg missing from fresh results")
+            continue
+        gate.check(f"switch_timeline.{leg}.end_to_end_us", a_leg["end_to_end_us"], fresh[leg]["end_to_end_us"], TIMELINE_PHASE_TOL, TIMELINE_PHASE_FLOOR)
+        f_phases = fresh[leg]["phases_us"]
+        for phase, archived_us in a_leg["phases_us"].items():
+            name = f"switch_timeline.{leg}.{phase}"
+            if phase not in f_phases:
+                gate.hard(name, False, archived_us, None, "phase missing from fresh results")
+                continue
+            gate.check(name, archived_us, f_phases[phase], TIMELINE_PHASE_TOL, TIMELINE_PHASE_FLOOR)
+        for phase in sorted(f_phases.keys() - a_leg["phases_us"].keys()):
+            gate.info(f"switch_timeline.{leg}.{phase}", None, f_phases[phase], "new phase")
+    if archived is not None:
+        for leg in sorted(set(fresh) - set(archived)):
+            gate.info(f"switch_timeline.{leg}", None, fresh[leg]["end_to_end_us"], "new leg")
+    gate_budget(gate, fresh)
+
+
+def gate_faults(gate, archived, fresh):
+    gate_determinism(gate, "faults", fresh)
+    recovered = fresh["summary"]["recovered"]
+    gate.hard("faults.recovered", recovered >= 1, 1, recovered, "no fault was recovered")
+    gate_sim_speed(gate, "faults", archived, fresh)
+
+
+def gate_serving(gate, archived, fresh):
+    gate_determinism(gate, "serving", fresh)
+    for s in fresh["scenarios"]:
+        gate.hard(f"serving.{s['name']}.completed", s["completed"] > 0, 1, s["completed"], "no request completed")
+    fresh_inf = fresh["inflation_vs_steady_native_1cpu"]
+    if archived is not None:
+        archived_inf = archived["inflation_vs_steady_native_1cpu"]
+        for key, rel, floor in SERVING_INFLATION_CHECKS:
+            name = f"serving.inflation.{key}"
+            if key not in fresh_inf:
+                # The update_under_load pair only exists with --live-update.
+                gate.notes.append(f"{name}: not in the fresh run — band skipped")
+            elif key not in archived_inf:
+                gate.notes.append(f"{name}: fresh run has a new inflation key ({fresh_inf[key]:.2f}x) — archive it")
+                gate.info(name, None, fresh_inf[key], "new key")
+            else:
+                gate.check(name, archived_inf[key], fresh_inf[key], rel, floor)
+        archived_by = {s["name"]: s for s in archived["scenarios"]}
+        fresh_by = {s["name"]: s for s in fresh["scenarios"]}
+        for scen, metric, rel, floor in SERVING_SCENARIO_CHECKS:
+            name = f"serving.{scen}.{metric}"
+            if scen not in fresh_by:
+                gate.hard(name, False, archived_by[scen][metric], None, "scenario missing from fresh results")
+                continue
+            gate.check(name, archived_by[scen][metric], fresh_by[scen][metric], rel, floor)
     for key, ceiling in SERVING_INFLATION_CEILINGS.items():
         name = f"serving.ceiling.{key}"
-        fresh = fresh_inf.get(key)
-        if fresh is None:
-            notes.append(f"{name}: not in the fresh run — ceiling skipped")
+        value = fresh_inf.get(key)
+        if value is None:
+            gate.notes.append(f"{name}: not in the fresh run — ceiling skipped")
             continue
-        if fresh >= ceiling:
-            gate.rows.append((name, ceiling, fresh, fresh - ceiling, 0.0, "REGRESSED"))
-            gate.regressions.append(
-                f"{name} (inflation {fresh:.2f}x breaches the hard {ceiling:.1f}x "
-                f"ceiling — a switch under load must stay a tail event)"
-            )
-        else:
-            gate.rows.append((name, ceiling, fresh, fresh - ceiling, 0.0, "ok"))
-
-    archived_by = {s["name"]: s for s in archived_sv["scenarios"]}
-    fresh_by = {s["name"]: s for s in fresh_sv["scenarios"]}
-    for scen, metric, rel, floor in SERVING_SCENARIO_CHECKS:
-        name = f"serving.{scen}.{metric}"
-        if scen not in fresh_by:
-            gate.rows.append((name, archived_by[scen][metric], float("nan"), float("nan"), 0.0, "REGRESSED"))
-            gate.regressions.append(f"{name} (scenario missing from fresh results)")
-            continue
-        gate.check(name, archived_by[scen][metric], fresh_by[scen][metric], rel, floor)
+        gate.hard(name, value < ceiling, ceiling, value, f"inflation {value:.2f}x breaches the hard {ceiling:.1f}x ceiling — a switch or update under load must stay a tail event")
+    gate_sim_speed(gate, "serving", archived, fresh)
 
 
-def gate_sim_speed(fresh_path):
-    """Dedicated mode: gate only the simulated-throughput file.
-
-    Compares every suite present in both the fresh file and the
-    archived repo-root `sim_speed.json`.  Fails if a suite's
-    `mcycles_per_host_second` fell below ``SIM_SPEED_MIN_FRACTION`` of
-    the archived value, or if its `skip_speedup` dropped below 1.0
-    (the skip-on pass must never lose to quantum ticking).  Suites
-    missing from either side are notes, not failures.
-    """
-    with open(fresh_path) as f:
-        fresh = json.load(f)
-    with open(os.path.join(REPO, "sim_speed.json")) as f:
-        archived = json.load(f)
-
-    regressions = []
-    print(f"{'suite'.ljust(10)} | archived Mc/s | fresh Mc/s | min Mc/s | speedup | status")
-    print(f"{'-' * 10}-|--------------:|-----------:|---------:|--------:|-------")
-    for suite in sorted(set(archived) | set(fresh)):
-        if suite not in fresh:
-            print(f"{suite.ljust(10)} | {'':>13} | {'':>10} | {'':>8} | {'':>7} | missing from fresh run (note)")
-            continue
-        if suite not in archived:
-            f_tp = fresh[suite]["mcycles_per_host_second"]
-            print(f"{suite.ljust(10)} | {'':>13} | {f_tp:10.1f} | {'':>8} | {'':>7} | new suite (archive it)")
-            continue
-        a_tp = archived[suite]["mcycles_per_host_second"]
-        f_tp = fresh[suite]["mcycles_per_host_second"]
-        speedup = fresh[suite]["skip_speedup"]
-        floor = a_tp * SIM_SPEED_MIN_FRACTION
-        status = "ok"
-        if f_tp < floor:
-            status = "REGRESSED"
-            regressions.append(
-                f"sim_speed.{suite}.mcycles_per_host_second "
-                f"({f_tp:.1f} < {SIM_SPEED_MIN_FRACTION:.0%} of archived {a_tp:.1f} "
-                f"— idle spans likely stopped fast-forwarding)"
-            )
-        if speedup < 1.0:
-            status = "REGRESSED"
-            regressions.append(
-                f"sim_speed.{suite}.skip_speedup ({speedup:.2f} < 1.0 — the "
-                f"skip-on pass lost to quantum ticking)"
-            )
-        print(
-            f"{suite.ljust(10)} | {a_tp:13.1f} | {f_tp:10.1f} | {floor:8.1f} | {speedup:7.2f} | {status}"
-        )
-
-    if regressions:
-        print(f"\nbenchgate: FAIL — {len(regressions)} sim-speed regression(s):", file=sys.stderr)
-        for r in regressions:
-            print(f"  {r}", file=sys.stderr)
-        sys.exit(1)
-    print("\nbenchgate: PASS (sim-speed)")
-
-
-def gate_fleet(fresh_path):
-    """Dedicated mode: gate the fleet-scale serving run.
-
-    Hard invariants on the fresh `fleet_results.json` first (zero lost
-    requests, verified determinism, total accounting, downtime and
-    p999 ceilings), then relative bands against the archived repo-root
-    copy when it is a real (non-provisional) run of the same sizing.
-    """
-    with open(fresh_path) as f:
-        fresh = json.load(f)
-
-    regressions = []
-    notes = []
-    rows = []
-
-    def invariant(name, ok_cond, detail):
-        rows.append((name, detail, "ok" if ok_cond else "REGRESSED"))
-        if not ok_cond:
-            regressions.append(f"fleet.{name} ({detail})")
-
-    invariant(
-        "lost",
-        fresh["lost"] == 0,
-        f"{fresh['lost']} requests lost — every offered request must be "
-        f"accounted completed or shed across migrations",
-    )
-    invariant(
-        "determinism",
-        fresh["determinism"] == "verified",
-        f"two-pass check reported {fresh['determinism']!r}, expected 'verified'",
-    )
-    invariant(
-        "accounting",
-        fresh["offered"] == fresh["completed"] + fresh["shed"],
-        f"offered {fresh['offered']} vs completed {fresh['completed']} "
-        f"+ shed {fresh['shed']}",
-    )
-    invariant(
-        "downtime_ceiling",
-        fresh["downtime_us"]["max"] <= FLEET_DOWNTIME_CEILING_US,
-        f"worst migration downtime {fresh['downtime_us']['max']:.1f} µs vs "
-        f"hard ceiling {FLEET_DOWNTIME_CEILING_US:.0f} µs",
-    )
-    invariant(
-        "p999_ceiling",
-        fresh["p999_us"] <= FLEET_P999_CEILING_US,
-        f"fleet p999 {fresh['p999_us']:.1f} µs vs hard ceiling "
-        f"{FLEET_P999_CEILING_US:.0f} µs — a tail in the millisecond range "
-        f"means migration blocked the serving path",
-    )
-
-    archived_path = os.path.join(REPO, "fleet_results.json")
-    archived = None
-    if not os.path.exists(archived_path):
-        notes.append("fleet: no archived fleet_results.json — band comparison skipped")
-    else:
-        with open(archived_path) as f:
-            archived = json.load(f)
-        if archived.get("provisional"):
-            notes.append(
-                "fleet: archived fleet_results.json is PROVISIONAL (hand-written "
-                "placeholder) — band comparison skipped; re-archive it from a real "
-                "`serving_tail --fleet` run"
-            )
-            archived = None
-        elif archived.get("mode") != fresh.get("mode"):
-            notes.append(
-                f"fleet: fresh run is {fresh.get('mode')!r}-sized but archive is "
-                f"{archived.get('mode')!r}-sized — band comparison skipped"
-            )
-            archived = None
-
-    gate = Gate()
+def gate_fleet(gate, archived, fresh):
+    gate_determinism(gate, "fleet", fresh)
+    gate.hard("fleet.lost", fresh["lost"] == 0, 0, fresh["lost"], "requests lost — every offered request must be accounted completed or shed across migrations")
+    accounted = fresh["completed"] + fresh["shed"]
+    gate.hard("fleet.accounting", fresh["offered"] == accounted, fresh["offered"], accounted, "offered != completed + shed")
+    evac, mig = fresh["evacuations"], fresh["migrations"]
+    gate.hard("fleet.migrations", mig == 2 * evac, 2 * evac, mig, "every evacuation must re-home: migrations != 2 x evacuations")
+    dt = fresh["downtime_us"]["max"]
+    gate.hard("fleet.downtime_ceiling", dt <= FLEET_DOWNTIME_CEILING_US, FLEET_DOWNTIME_CEILING_US, dt, f"worst migration downtime {dt:.1f} µs")
+    p999 = fresh["p999_us"]
+    gate.hard("fleet.p999_ceiling", p999 <= FLEET_P999_CEILING_US, FLEET_P999_CEILING_US, p999, f"fleet p999 {p999:.1f} µs — a tail in the millisecond range means something blocked the serving path")
     if archived is not None:
         for path, rel, floor in FLEET_ARCHIVE_CHECKS:
             gate.check(f"fleet.{'.'.join(path)}", dig(archived, path), dig(fresh, path), rel, floor)
-        regressions.extend(gate.regressions)
 
-    w = max(len(r[0]) for r in rows)
-    print(f"{'invariant'.ljust(w)} | status    | detail")
-    print(f"{'-' * w}-|-----------|-------")
-    for name, detail, status in rows:
-        print(f"{name.ljust(w)} | {status.ljust(9)} | {detail}")
-    if gate.rows:
-        gate.report()
 
-    for note in notes:
-        print(f"\nbenchgate: note — {note}")
-    if gate.improvements:
-        print(
-            f"\nbenchgate: {len(gate.improvements)} fleet metric(s) improved beyond "
-            f"their band — consider re-archiving fleet_results.json"
-        )
-    if regressions:
-        print(f"\nbenchgate: FAIL — {len(regressions)} fleet regression(s):", file=sys.stderr)
-        for r in regressions:
-            print(f"  {r}", file=sys.stderr)
-        sys.exit(1)
-    print("\nbenchgate: PASS (fleet)")
+GATES = {
+    "paper": None,
+    "mode_switch": gate_mode_switch,
+    "switch_timeline": gate_switch_timeline,
+    "faults": gate_faults,
+    "serving": gate_serving,
+    "fleet": gate_fleet,
+}
+
+
+def load(path):
+    if not os.path.exists(path):
+        return None
+    with open(path) as f:
+        return json.load(f)
+
+
+def gate_archives(gate, fresh_dir, require_all):
+    """Gate every archive in `fresh_dir` against the committed `results/`."""
+    found = 0
+    for name in ARCHIVES:
+        fresh = load(os.path.join(fresh_dir, f"{name}.json"))
+        if fresh is None:
+            if require_all:
+                gate.hard(f"{name}.archive", False, "present", "missing", "`all` wrote no archive")
+            continue
+        found += 1
+        archived = load(os.path.join(REPO, "results", f"{name}.json"))
+        gaps = {label: provenance_gaps(doc) for label, doc in (("fresh", fresh), ("committed", archived)) if doc is not None}
+        for label, missing in gaps.items():
+            gate.hard(f"{name}.provenance.{label}", not missing, "complete", ", ".join(missing) or "complete", f"incomplete provenance, missing {', '.join(missing)}")
+        if any(gaps.values()):
+            continue
+        command = fresh["provenance"]["command"]
+        if archived is None:
+            gate.notes.append(f"{name}: no committed archive — bands skipped, hard checks applied")
+        elif archived["provenance"]["command"] != command:
+            gate.notes.append(
+                f"{name}: fresh command {command!r} differs from the committed "
+                f"{archived['provenance']['command']!r} — bands skipped, hard checks applied"
+            )
+            archived = None
+        metrics = archived and archived["metrics"]
+        host = fresh["provenance"]["host"]
+        if metrics and "sim_speed" in metrics and archived["provenance"]["host"] != host:
+            gate.notes.append(
+                f"{name}.sim_speed: fresh host {host!r} differs from the committed "
+                f"{archived['provenance']['host']!r} — host-time floor skipped"
+            )
+            metrics = {k: v for k, v in metrics.items() if k != "sim_speed"}
+        if GATES[name] is not None:
+            GATES[name](gate, metrics, fresh["metrics"])
+    if not found:
+        gate.hard("results", False, "archives", "none", f"no archive in {fresh_dir}")
 
 
 def main():
@@ -543,153 +469,21 @@ def main():
     ap.add_argument(
         "--results",
         metavar="DIR",
-        help="directory holding pre-generated mode_switch.json and "
-        "switch_timeline.json (skips the cargo runs); if it also holds "
-        "serving_results.json, the serving gate runs on that too",
-    )
-    ap.add_argument(
-        "--serving",
-        action="store_true",
-        help="also gate the serving-tail sweep (cargo-runs the full-size "
-        "serving_tail bench unless --results provides the JSON)",
-    )
-    ap.add_argument(
-        "--sim-speed",
-        metavar="PATH",
-        help="gate only the simulated-throughput file at PATH against the "
-        "archived repo-root sim_speed.json, then exit",
-    )
-    ap.add_argument(
-        "--fleet",
-        metavar="PATH",
-        help="gate only the fleet-scale serving results at PATH (hard "
-        "zero-lost/determinism/ceiling invariants, plus bands against the "
-        "archived repo-root fleet_results.json when comparable), then exit",
+        help="gate the archives already in DIR instead of running `all` "
+        "(default: run `all` in target/benchgate/ and gate its results/)",
     )
     args = ap.parse_args()
-
-    if args.sim_speed:
-        gate_sim_speed(args.sim_speed)
-        return
-    if args.fleet:
-        gate_fleet(args.fleet)
-        return
-
-    with open(os.path.join(REPO, "bench_results.json")) as f:
-        archived_ms = json.load(f)["mode_switch"]
-    with open(os.path.join(REPO, "switch_timeline.json")) as f:
-        archived_tl = json.load(f)
-
-    if args.results:
-        outdir = args.results
-    else:
-        outdir = tempfile.mkdtemp(prefix="benchgate-")
-        run_bench("mode_switch", outdir)
-        run_bench("switch_timeline", outdir)
-        if args.serving:
-            run_bench("serving_tail", outdir, extra=("--seed", "11", "--live-update"))
-
-    with open(os.path.join(outdir, "mode_switch.json")) as f:
-        fresh_ms = json.load(f)
-    with open(os.path.join(outdir, "switch_timeline.json")) as f:
-        fresh_tl = json.load(f)
-
-    fresh_sv = None
-    serving_path = os.path.join(outdir, "serving_results.json")
-    if args.serving or (args.results and os.path.exists(serving_path)):
-        with open(serving_path) as f:
-            fresh_sv = json.load(f)
-        with open(os.path.join(REPO, "serving_results.json")) as f:
-            archived_sv = json.load(f)
-
     gate = Gate()
-
-    for apath, fpath, metric, rel, floor in MODE_SWITCH_CHECKS:
-        name = f"mode_switch.{'.'.join(apath)}.{metric}"
-        gate.check(name, dig(archived_ms, apath)[metric], dig(fresh_ms, fpath)[metric], rel, floor)
-
-    # Sharded speedup: lower-bounded, not banded — any host should beat
-    # serial by a clear margin on a 4-CPU shard.
-    speedup = fresh_ms["sharded_recompute"]["speedup"]
-    if speedup < 1.5:
-        gate.rows.append(("mode_switch.sharded_recompute.speedup", 1.5, speedup, speedup - 1.5, 0.0, "REGRESSED"))
-        gate.regressions.append("mode_switch.sharded_recompute.speedup")
+    if args.results:
+        gate_archives(gate, args.results, require_all=False)
     else:
-        gate.rows.append(("mode_switch.sharded_recompute.speedup", 1.5, speedup, speedup - 1.5, 0.0, "ok"))
-
-    notes = []
-
-    # Compare every archived timeline leg (attach/detach plus the _full
-    # and _lazy variants); a leg that vanished from the fresh run is a
-    # regression, a brand-new fresh leg is informational.  A leg whose
-    # archived copy is marked `"provisional": true` (hand-written before
-    # the first real run) is skipped with a loud note — the static
-    # budget cross-check below still covers its fresh measurements.
-    for leg in sorted(archived_tl):
-        if archived_tl[leg].get("provisional"):
-            notes.append(
-                f"switch_timeline.{leg}: archived leg is PROVISIONAL (hand-written "
-                f"placeholder) — band comparison skipped; re-archive it from a real "
-                f"`switch_timeline` run"
-            )
-            status = "provisional" if leg in fresh_tl else "provisional (no fresh leg)"
-            fresh_e2e = fresh_tl[leg]["end_to_end_us"] if leg in fresh_tl else float("nan")
-            gate.rows.append((f"switch_timeline.{leg}", archived_tl[leg]["end_to_end_us"], fresh_e2e, float("nan"), 0.0, status))
-            continue
-        if leg not in fresh_tl:
-            gate.rows.append((f"switch_timeline.{leg}", archived_tl[leg]["end_to_end_us"], float("nan"), float("nan"), 0.0, "REGRESSED"))
-            gate.regressions.append(f"switch_timeline.{leg} (leg missing from fresh results)")
-            continue
-        gate.check(
-            f"switch_timeline.{leg}.end_to_end_us",
-            archived_tl[leg]["end_to_end_us"],
-            fresh_tl[leg]["end_to_end_us"],
-            TIMELINE_PHASE_TOL,
-            TIMELINE_PHASE_FLOOR,
-        )
-        for phase, archived_us in archived_tl[leg]["phases_us"].items():
-            fresh_us = fresh_tl[leg]["phases_us"].get(phase)
-            if fresh_us is None:
-                gate.rows.append((f"switch_timeline.{leg}.{phase}", archived_us, float("nan"), float("nan"), 0.0, "REGRESSED"))
-                gate.regressions.append(f"switch_timeline.{leg}.{phase} (missing)")
-                continue
-            gate.check(
-                f"switch_timeline.{leg}.{phase}",
-                archived_us,
-                fresh_us,
-                TIMELINE_PHASE_TOL,
-                TIMELINE_PHASE_FLOOR,
-            )
-        for phase in fresh_tl[leg]["phases_us"].keys() - archived_tl[leg]["phases_us"].keys():
-            # A brand-new phase is information, not a regression.
-            gate.rows.append(
-                (f"switch_timeline.{leg}.{phase}", 0.0, fresh_tl[leg]["phases_us"][phase], 0.0, 0.0, "new phase")
-            )
-    for leg in sorted(set(fresh_tl) - set(archived_tl)):
-        # A brand-new leg is information, not a regression.
-        gate.rows.append(
-            (f"switch_timeline.{leg}", 0.0, fresh_tl[leg]["end_to_end_us"], 0.0, 0.0, "new leg")
-        )
-
-    gate_budget(gate, fresh_tl, notes)
-    if fresh_sv is not None:
-        gate_serving(gate, archived_sv, fresh_sv, notes)
-
-    gate.report()
-
-    for note in notes:
-        print(f"\nbenchgate: note — {note}")
-    if gate.improvements:
-        print(
-            f"\nbenchgate: {len(gate.improvements)} metric(s) improved beyond their band "
-            f"— consider refreshing the archived JSONs: {', '.join(gate.improvements)}"
-        )
-    if gate.regressions:
-        print(f"\nbenchgate: FAIL — {len(gate.regressions)} regression(s):", file=sys.stderr)
-        for r in gate.regressions:
-            print(f"  {r}", file=sys.stderr)
-        sys.exit(1)
-    print("\nbenchgate: PASS")
+        workdir = os.path.join(REPO, "target", "benchgate")
+        shutil.rmtree(workdir, ignore_errors=True)
+        os.makedirs(workdir)
+        rc = run_all(workdir)
+        gate.hard("all.exit_code", rc == 0, 0, rc, "`all` did not build, or a suite failed its own gates")
+        gate_archives(gate, os.path.join(workdir, "results"), require_all=True)
+    sys.exit(gate.finish())
 
 
 if __name__ == "__main__":

@@ -3,19 +3,19 @@
 
 The gate is itself load-bearing CI: a bug here fails — or worse,
 silently passes — every PR.  These tests exercise the pure decision
-logic against the checked-in fixture JSONs in `tools/fixtures/`, no
-cargo involved:
+logic against the checked-in fixture archives in `tools/fixtures/`
+(same `{provenance, metrics}` schema as `results/`), no cargo involved:
 
 * band math (relative tolerance, absolute floors, improvement vs
   regression asymmetry),
 * the static-budget cross-check (missing phases, budget breaches,
   end-to-end vs summed-phase containment, stale-bounds notes),
-* provisional-archive handling (hand-written placeholders must skip
-  the bands with a loud note but never dodge the hard ceilings),
-* the `--fleet` hard invariants (zero lost, accounting, determinism,
-  downtime/p999 ceilings) and archive bands,
-* the `--sim-speed` invariants (throughput fraction, skip_speedup
-  floor, missing-suite notes).
+* provenance: an archive missing a field is rejected,
+* command matching: a run of another command skips the bands but never
+  the ceilings and invariants,
+* the per-archive hard checks (serving ceilings, fleet zero-lost /
+  accounting / migrations / ceilings, fault determinism and recovery,
+  sim-speed floors, the host-time one only on the archive's own host).
 
 Run directly: `python3 tools/test_benchgate.py` (stdlib only).
 """
@@ -27,7 +27,6 @@ import io
 import json
 import os
 import shutil
-import sys
 import tempfile
 import unittest
 from unittest import mock
@@ -41,7 +40,7 @@ spec.loader.exec_module(bg)
 
 
 def fixture(name):
-    with open(os.path.join(FIXTURES, name)) as f:
+    with open(os.path.join(FIXTURES, f"{name}.json")) as f:
         return json.load(f)
 
 
@@ -89,270 +88,271 @@ class BandMath(unittest.TestCase):
         self.assertEqual(gate.rows[-1][-1], "REGRESSED")
 
 
-class BudgetCrossCheck(unittest.TestCase):
+class TempRepo(unittest.TestCase):
+    """bg.REPO pointed at a scratch tree with `results/` and a fresh dir."""
+
     def setUp(self):
         self.saved_repo = bg.REPO
-        bg.REPO = tempfile.mkdtemp(prefix="benchgate-test-")
-        with open(os.path.join(bg.REPO, "volint_budget.json"), "w") as f:
+        self.tmp = tempfile.mkdtemp(prefix="benchgate-test-")
+        bg.REPO = self.tmp
+        self.fresh_dir = os.path.join(self.tmp, "fresh")
+        os.makedirs(os.path.join(self.tmp, "results"))
+        os.makedirs(self.fresh_dir)
+        with open(os.path.join(self.tmp, "volint_budget.json"), "w") as f:
             json.dump({"phases": {"phase.a": {"us": 10.0}, "phase.b": {"us": 5.0}}}, f)
 
     def tearDown(self):
-        shutil.rmtree(bg.REPO)
+        shutil.rmtree(self.tmp)
         bg.REPO = self.saved_repo
 
+    def gate(self, name, fresh, committed=None):
+        """Gate `fresh` (and `committed`, when given) as archive `name`."""
+        for where, doc in ((self.fresh_dir, fresh), (os.path.join(self.tmp, "results"), committed)):
+            if doc is not None:
+                with open(os.path.join(where, f"{name}.json"), "w") as f:
+                    json.dump(doc, f)
+        gate = bg.Gate()
+        bg.gate_archives(gate, self.fresh_dir, require_all=False)
+        return gate
+
+    def assertRegressed(self, gate, prefix):
+        self.assertTrue(any(r.startswith(prefix) for r in gate.regressions), (prefix, gate.regressions))
+
+    def assertNotRegressed(self, gate, prefix):
+        self.assertFalse(any(r.startswith(prefix) for r in gate.regressions), (prefix, gate.regressions))
+
+
+class BudgetCrossCheck(TempRepo):
     @staticmethod
     def leg(phases, e2e):
         return {"leg": {"phases_us": phases, "end_to_end_us": e2e, "samples": 20}}
 
     def test_within_budget_passes(self):
-        gate, notes = bg.Gate(), []
-        bg.gate_budget(gate, self.leg({"phase.a": 8.0, "phase.b": 4.0}, 12.5), notes)
+        gate = bg.Gate()
+        bg.gate_budget(gate, self.leg({"phase.a": 8.0, "phase.b": 4.0}, 12.5))
         self.assertFalse(gate.regressions)
 
     def test_phase_over_budget_regresses(self):
-        gate, notes = bg.Gate(), []
-        bg.gate_budget(gate, self.leg({"phase.a": 11.0}, 11.0), notes)
+        gate = bg.Gate()
+        bg.gate_budget(gate, self.leg({"phase.a": 11.0}, 11.0))
         self.assertTrue(any("phase.a" in r for r in gate.regressions))
 
     def test_unbudgeted_phase_regresses(self):
-        gate, notes = bg.Gate(), []
-        bg.gate_budget(gate, self.leg({"phase.zzz": 0.1}, 0.1), notes)
+        gate = bg.Gate()
+        bg.gate_budget(gate, self.leg({"phase.zzz": 0.1}, 0.1))
         self.assertTrue(any("no static budget" in r for r in gate.regressions))
 
     def test_end_to_end_must_fit_summed_budgets(self):
         # Un-spanned inter-phase work cannot hide in the gaps.
-        gate, notes = bg.Gate(), []
-        bg.gate_budget(gate, self.leg({"phase.a": 8.0, "phase.b": 4.0}, 16.0), notes)
+        gate = bg.Gate()
+        bg.gate_budget(gate, self.leg({"phase.a": 8.0, "phase.b": 4.0}, 16.0))
         self.assertTrue(any("end_to_end" in r for r in gate.regressions))
 
     def test_stale_bounds_are_a_note_not_a_failure(self):
-        gate, notes = bg.Gate(), []
-        bg.gate_budget(gate, self.leg({"phase.a": 0.01}, 0.01), notes)
+        gate = bg.Gate()
+        bg.gate_budget(gate, self.leg({"phase.a": 0.01}, 0.01))
         self.assertFalse(gate.regressions)
-        self.assertTrue(any("stale" in n for n in notes))
+        self.assertTrue(any("stale" in n for n in gate.notes))
 
 
-def serving_pair():
-    """A matched (archived, fresh) serving_results pair, in band."""
-    archived = {
-        "quick": False,
-        "determinism": "verified",
-        "inflation_vs_steady_native_1cpu": {
-            "steady_virtual_p99": 1.19,
-            "switch_under_load_p99": 1.39,
-            "switch_under_load_p999": 1.82,
-            "update_under_load_p99": 1.45,
-            "update_under_load_p999": 1.85,
-        },
-        "provisional_inflation": [],
-        "scenarios": [
-            {"name": "steady-virtual-1cpu", "p99_us": 10.0},
-            {"name": "switch-under-load-1cpu", "p99_us": 12.0},
-        ],
-    }
-    return archived, copy.deepcopy(archived)
+class Provenance(TempRepo):
+    def test_archive_missing_a_provenance_field_is_rejected(self):
+        for field in bg.PROVENANCE:
+            fresh = fixture("fleet")
+            del fresh["provenance"][field]
+            gate = self.gate("fleet", fresh, committed=fixture("fleet"))
+            self.assertRegressed(gate, "fleet.provenance.fresh")
+            # Rejected before any band or invariant reads it.
+            self.assertFalse([r for r in gate.rows if r[0] == "fleet.lost"])
+
+    def test_committed_archive_missing_provenance_is_rejected(self):
+        committed = fixture("serving")
+        del committed["provenance"]
+        gate = self.gate("serving", fixture("serving"), committed=committed)
+        self.assertRegressed(gate, "serving.provenance.committed")
+
+    def test_empty_field_is_incomplete_but_null_seed_is_not(self):
+        fresh = fixture("faults")
+        fresh["provenance"]["commit"] = ""
+        self.assertRegressed(self.gate("faults", fresh), "faults.provenance.fresh")
+        fresh = fixture("faults")
+        fresh["provenance"]["seed"] = None
+        self.assertFalse(self.gate("faults", fresh).regressions)
+
+    def test_missing_archives_fail_only_when_all_must_have_run(self):
+        gate = bg.Gate()
+        bg.gate_archives(gate, self.fresh_dir, require_all=True)
+        for name in bg.ARCHIVES:
+            self.assertRegressed(gate, f"{name}.archive")
+        gate = bg.Gate()
+        bg.gate_archives(gate, self.fresh_dir, require_all=False)
+        self.assertEqual(gate.regressions[0].split()[0], "results")
 
 
-class ServingGate(unittest.TestCase):
+class ServingGate(TempRepo):
     def test_in_band_run_passes(self):
-        gate, notes = bg.Gate(), []
-        archived, fresh = serving_pair()
-        bg.gate_serving(gate, archived, fresh, notes)
+        gate = self.gate("serving", fixture("serving"), committed=fixture("serving"))
         self.assertFalse(gate.regressions)
+        self.assertTrue(any(r[0] == "serving.inflation.steady_virtual_p99" for r in gate.rows))
 
-    def test_quick_runs_are_skipped_with_a_note(self):
-        gate, notes = bg.Gate(), []
-        archived, fresh = serving_pair()
-        fresh["quick"] = True
-        bg.gate_serving(gate, archived, fresh, notes)
-        self.assertFalse(gate.rows)
-        self.assertTrue(any("quick" in n for n in notes))
+    def test_out_of_band_run_regresses_under_the_same_command(self):
+        fresh = fixture("serving")
+        fresh["metrics"]["inflation_vs_steady_native_1cpu"]["steady_virtual_p99"] = 1.5
+        gate = self.gate("serving", fresh, committed=fixture("serving"))
+        self.assertEqual(gate.regressions, ["serving.inflation.steady_virtual_p99"])
 
-    def test_provisional_inflation_key_skips_the_band_loudly(self):
-        gate, notes = bg.Gate(), []
-        archived, fresh = serving_pair()
-        archived["provisional_inflation"] = ["update_under_load_p99"]
-        fresh["inflation_vs_steady_native_1cpu"]["update_under_load_p99"] = 1.95
-        bg.gate_serving(gate, archived, fresh, notes)
-        self.assertFalse(gate.regressions)  # way out of band, but provisional
-        self.assertTrue(any("PROVISIONAL" in n for n in notes))
-
-    def test_provisional_key_cannot_dodge_the_hard_ceiling(self):
-        gate, notes = bg.Gate(), []
-        archived, fresh = serving_pair()
-        archived["provisional_inflation"] = ["update_under_load_p99"]
-        fresh["inflation_vs_steady_native_1cpu"]["update_under_load_p99"] = 2.5
-        bg.gate_serving(gate, archived, fresh, notes)
-        self.assertTrue(any("ceiling.update_under_load_p99" in r for r in gate.regressions))
+    def test_mismatched_command_skips_bands_but_keeps_ceilings_and_invariants(self):
+        fresh = fixture("serving")
+        fresh["provenance"]["command"] += " --campaign"
+        m = fresh["metrics"]
+        m["inflation_vs_steady_native_1cpu"]["steady_virtual_p99"] = 1.5  # out of band…
+        m["inflation_vs_steady_native_1cpu"]["update_under_load_p99"] = 2.5  # …over the ceiling
+        m["scenarios"][1]["completed"] = 0
+        m["determinism"] = "FAILED"
+        m["sim_speed"]["skip_speedup"] = 0.9
+        gate = self.gate("serving", fresh, committed=fixture("serving"))
+        self.assertNotRegressed(gate, "serving.inflation.")
+        self.assertRegressed(gate, "serving.ceiling.update_under_load_p99")
+        self.assertRegressed(gate, "serving.switch-under-load-1cpu.completed")
+        self.assertRegressed(gate, "serving.determinism")
+        self.assertRegressed(gate, "serving.sim_speed.skip_speedup")
+        self.assertTrue(any("bands skipped" in n for n in gate.notes))
 
     def test_update_ceiling_breach_regresses(self):
-        gate, notes = bg.Gate(), []
-        archived, fresh = serving_pair()
+        gate = bg.Gate()
+        archived, fresh = fixture("serving")["metrics"], fixture("serving")["metrics"]
         # In band relative to a (bad) archive, but over the absolute line.
         archived["inflation_vs_steady_native_1cpu"]["update_under_load_p99"] = 2.6
         fresh["inflation_vs_steady_native_1cpu"]["update_under_load_p99"] = 2.5
-        bg.gate_serving(gate, archived, fresh, notes)
+        bg.gate_serving(gate, archived, fresh)
         self.assertTrue(any("ceiling.update_under_load_p99" in r for r in gate.regressions))
 
     def test_missing_optional_keys_note_instead_of_crashing(self):
         # A sweep run without --live-update has no update_under_load
         # keys; the gate must skip both band and ceiling with notes.
-        gate, notes = bg.Gate(), []
-        archived, fresh = serving_pair()
+        gate = bg.Gate()
+        archived, fresh = fixture("serving")["metrics"], fixture("serving")["metrics"]
         for key in ("update_under_load_p99", "update_under_load_p999"):
             del fresh["inflation_vs_steady_native_1cpu"][key]
-        bg.gate_serving(gate, archived, fresh, notes)
+        bg.gate_serving(gate, archived, fresh)
         self.assertFalse(gate.regressions)
-        self.assertTrue(any("update_under_load_p99: not in the fresh run" in n for n in notes))
-        self.assertTrue(any("ceiling" in n and "skipped" in n for n in notes))
+        self.assertTrue(any("update_under_load_p99: not in the fresh run" in n for n in gate.notes))
+        self.assertTrue(any("ceiling" in n and "skipped" in n for n in gate.notes))
 
     def test_new_fresh_key_is_informational(self):
-        gate, notes = bg.Gate(), []
-        archived, fresh = serving_pair()
+        gate = bg.Gate()
+        archived, fresh = fixture("serving")["metrics"], fixture("serving")["metrics"]
         del archived["inflation_vs_steady_native_1cpu"]["update_under_load_p999"]
-        bg.gate_serving(gate, archived, fresh, notes)
+        bg.gate_serving(gate, archived, fresh)
         self.assertFalse(gate.regressions)
-        self.assertTrue(any("archive it" in n for n in notes))
+        self.assertTrue(any("archive it" in n for n in gate.notes))
 
 
-class FleetGate(unittest.TestCase):
-    def setUp(self):
-        self.saved_repo = bg.REPO
-        self.tmp = tempfile.mkdtemp(prefix="benchgate-test-")
-        bg.REPO = self.tmp
-        self.fresh_path = os.path.join(self.tmp, "fresh.json")
-
-    def tearDown(self):
-        shutil.rmtree(self.tmp)
-        bg.REPO = self.saved_repo
-
-    def arm(self, fresh, archived=None):
-        with open(self.fresh_path, "w") as f:
-            json.dump(fresh, f)
-        if archived is not None:
-            with open(os.path.join(self.tmp, "fleet_results.json"), "w") as f:
-                json.dump(archived, f)
+class FleetGate(TempRepo):
+    def run_gate(self, fresh, committed):
+        with quiet() as out:
+            code = self.gate("fleet", fresh, committed).finish()
+        return code, out.getvalue()
 
     def test_clean_run_passes_against_matching_archive(self):
-        fleet = fixture("fleet_results.json")
-        self.arm(fleet, archived=fleet)
-        with quiet() as out:
-            bg.gate_fleet(self.fresh_path)
-        self.assertIn("PASS", out.getvalue())
+        code, out = self.run_gate(fixture("fleet"), fixture("fleet"))
+        self.assertEqual(code, 0)
+        self.assertIn("fleet.p99_us", out)
 
     def test_lost_requests_fail_hard(self):
-        fleet = fixture("fleet_results.json")
-        fleet["lost"] = 1
-        self.arm(fleet, archived=fixture("fleet_results.json"))
-        with quiet(), self.assertRaises(SystemExit) as ctx:
-            bg.gate_fleet(self.fresh_path)
-        self.assertEqual(ctx.exception.code, 1)
+        fleet = fixture("fleet")
+        fleet["metrics"]["lost"] = 1
+        self.assertEqual(self.run_gate(fleet, fixture("fleet"))[0], 1)
 
     def test_accounting_mismatch_fails_hard(self):
-        fleet = fixture("fleet_results.json")
-        fleet["completed"] -= 7  # offered != completed + shed
-        self.arm(fleet, archived=fixture("fleet_results.json"))
-        with quiet(), self.assertRaises(SystemExit):
-            bg.gate_fleet(self.fresh_path)
+        fleet = fixture("fleet")
+        fleet["metrics"]["completed"] -= 7  # offered != completed + shed
+        self.assertEqual(self.run_gate(fleet, fixture("fleet"))[0], 1)
+
+    def test_every_evacuation_must_rehome(self):
+        fleet = fixture("fleet")
+        fleet["metrics"]["migrations"] -= 1
+        self.assertRegressed(self.gate("fleet", fleet, fixture("fleet")), "fleet.migrations")
 
     def test_p999_ceiling_is_absolute(self):
-        fleet = fixture("fleet_results.json")
-        fleet["p999_us"] = bg.FLEET_P999_CEILING_US + 1.0
+        fleet = fixture("fleet")
+        fleet["metrics"]["p999_us"] = bg.FLEET_P999_CEILING_US + 1.0
         # Archive the same breach: it must not grandfather it in.
-        self.arm(fleet, archived=copy.deepcopy(fleet))
-        with quiet(), self.assertRaises(SystemExit):
-            bg.gate_fleet(self.fresh_path)
+        gate = self.gate("fleet", fleet, copy.deepcopy(fleet))
+        self.assertEqual(gate.regressions[0].split()[0], "fleet.p999_ceiling")
 
     def test_tail_band_against_archive(self):
-        fleet = fixture("fleet_results.json")
-        fleet["p99_us"] = fleet["p99_us"] * 2.0
-        self.arm(fleet, archived=fixture("fleet_results.json"))
-        with quiet(), self.assertRaises(SystemExit):
-            bg.gate_fleet(self.fresh_path)
+        fleet = fixture("fleet")
+        fleet["metrics"]["p99_us"] *= 2.0
+        self.assertEqual(self.gate("fleet", fleet, fixture("fleet")).regressions, ["fleet.p99_us"])
 
-    def test_provisional_archive_skips_bands_loudly(self):
-        fleet = fixture("fleet_results.json")
-        fleet["p99_us"] = fleet["p99_us"] * 2.0  # out of band…
-        archived = fixture("fleet_results.json")
-        archived["provisional"] = True  # …but the archive is a placeholder
-        self.arm(fleet, archived=archived)
-        with quiet() as out:
-            bg.gate_fleet(self.fresh_path)
-        self.assertIn("PROVISIONAL", out.getvalue())
-        self.assertIn("PASS", out.getvalue())
-
-    def test_mode_mismatch_skips_bands(self):
-        fleet = fixture("fleet_results.json")
-        fleet["mode"] = "quick"
-        fleet["p99_us"] = fleet["p99_us"] * 2.0
-        self.arm(fleet, archived=fixture("fleet_results.json"))
-        with quiet() as out:
-            bg.gate_fleet(self.fresh_path)
-        self.assertIn("band comparison skipped", out.getvalue())
-        self.assertIn("PASS", out.getvalue())
+    def test_mismatched_command_skips_bands_but_keeps_invariants(self):
+        fleet = fixture("fleet")
+        fleet["provenance"]["command"] += " --campaign"
+        fleet["metrics"]["p99_us"] *= 2.0  # out of band, but not comparable
+        gate = self.gate("fleet", fleet, fixture("fleet"))
+        self.assertFalse(gate.regressions)
+        self.assertTrue(any("bands skipped" in n for n in gate.notes))
+        fleet["metrics"]["lost"] = 3
+        fleet["metrics"]["downtime_us"]["max"] = bg.FLEET_DOWNTIME_CEILING_US * 2
+        gate = self.gate("fleet", fleet, fixture("fleet"))
+        self.assertRegressed(gate, "fleet.lost")
+        self.assertRegressed(gate, "fleet.downtime_ceiling")
+        self.assertNotRegressed(gate, "fleet.p99_us")
 
 
-class SimSpeedGate(unittest.TestCase):
-    def setUp(self):
-        self.saved_repo = bg.REPO
-        self.tmp = tempfile.mkdtemp(prefix="benchgate-test-")
-        bg.REPO = self.tmp
-        self.fresh_path = os.path.join(self.tmp, "fresh.json")
-        shutil.copy(os.path.join(FIXTURES, "sim_speed.json"), os.path.join(self.tmp, "sim_speed.json"))
+class FaultGate(TempRepo):
+    def test_clean_run_passes(self):
+        self.assertFalse(self.gate("faults", fixture("faults"), fixture("faults")).regressions)
 
-    def tearDown(self):
-        shutil.rmtree(self.tmp)
-        bg.REPO = self.saved_repo
+    def test_fault_invariants_are_checked(self):
+        fresh = fixture("faults")
+        fresh["provenance"]["command"] += " --campaign"  # invariants apply regardless
+        fresh["metrics"]["determinism"] = "FAILED"
+        fresh["metrics"]["summary"]["recovered"] = 0
+        gate = self.gate("faults", fresh, fixture("faults"))
+        self.assertRegressed(gate, "faults.determinism")
+        self.assertRegressed(gate, "faults.recovered")
 
-    def arm(self, fresh):
-        with open(self.fresh_path, "w") as f:
-            json.dump(fresh, f)
-
-    def test_matching_throughput_passes(self):
-        self.arm(fixture("sim_speed.json"))
-        with quiet() as out:
-            bg.gate_sim_speed(self.fresh_path)
-        self.assertIn("PASS", out.getvalue())
-
-    def test_throughput_cliff_fails(self):
-        fresh = fixture("sim_speed.json")
-        fresh["serving"]["mcycles_per_host_second"] *= bg.SIM_SPEED_MIN_FRACTION * 0.9
-        self.arm(fresh)
-        with quiet(), self.assertRaises(SystemExit):
-            bg.gate_sim_speed(self.fresh_path)
+    def test_throughput_cliff_fails_under_the_same_command(self):
+        fresh = fixture("faults")
+        fresh["metrics"]["sim_speed"]["mcycles_per_host_second"] *= bg.SIM_SPEED_MIN_FRACTION * 0.9
+        self.assertRegressed(self.gate("faults", fresh, fixture("faults")), "faults.sim_speed.mcycles_per_host_second")
+        fresh["provenance"]["command"] += " --campaign"
+        self.assertFalse(self.gate("faults", fresh, fixture("faults")).regressions)
 
     def test_skip_speedup_below_one_fails(self):
-        fresh = fixture("sim_speed.json")
-        fresh["faultgen"]["skip_speedup"] = 0.9
-        self.arm(fresh)
-        with quiet(), self.assertRaises(SystemExit):
-            bg.gate_sim_speed(self.fresh_path)
+        fresh = fixture("faults")
+        fresh["metrics"]["sim_speed"]["skip_speedup"] = 0.9
+        self.assertRegressed(self.gate("faults", fresh, fixture("faults")), "faults.sim_speed.skip_speedup")
 
-    def test_missing_suite_is_a_note(self):
-        fresh = fixture("sim_speed.json")
-        del fresh["faultgen"]
-        self.arm(fresh)
-        with quiet() as out:
-            bg.gate_sim_speed(self.fresh_path)
-        self.assertIn("missing from fresh run (note)", out.getvalue())
-        self.assertIn("PASS", out.getvalue())
+    def test_throughput_floor_needs_the_same_host(self):
+        # Host time from another machine says nothing about the code:
+        # the floor is skipped loudly, the skip-speedup check (two
+        # passes on one host) still applies.
+        fresh = fixture("faults")
+        fresh["provenance"]["host"] = "x86_64-linux, 4 cpus, some other cpu"
+        fresh["metrics"]["sim_speed"]["mcycles_per_host_second"] *= bg.SIM_SPEED_MIN_FRACTION * 0.9
+        gate = self.gate("faults", fresh, fixture("faults"))
+        self.assertFalse(gate.regressions)
+        self.assertFalse([r for r in gate.rows if r[0] == "faults.sim_speed.mcycles_per_host_second"])
+        self.assertTrue(any("host-time floor skipped" in n for n in gate.notes))
+        fresh["metrics"]["sim_speed"]["skip_speedup"] = 0.9
+        self.assertRegressed(self.gate("faults", fresh, fixture("faults")), "faults.sim_speed.skip_speedup")
 
 
-class RunBench(unittest.TestCase):
+class RunAll(unittest.TestCase):
     def test_cargo_finds_the_workspace_from_a_scratch_dir(self):
-        # Default mode runs each bench in a fresh temp dir, which holds
-        # no Cargo.toml: the command itself must name the manifest.
-        with tempfile.TemporaryDirectory() as cwd, mock.patch.object(
-            bg.subprocess, "run"
-        ) as run, quiet():
-            bg.run_bench("mode_switch", cwd, extra=("--seed", "11"))
+        # Default mode runs `all` in target/benchgate/, which holds no
+        # Cargo.toml: the command itself must name the manifest.
+        with tempfile.TemporaryDirectory() as cwd, mock.patch.object(bg.subprocess, "run") as run, quiet():
+            bg.run_all(cwd)
         (cmd,), kwargs = run.call_args
         self.assertEqual(kwargs["cwd"], cwd)
         i = cmd.index("--manifest-path")
         self.assertEqual(cmd[i + 1], os.path.join(bg.REPO, "Cargo.toml"))
         self.assertTrue(os.path.isfile(cmd[i + 1]))
-        self.assertLess(i, cmd.index("--"), "cargo flag, not a bench argument")
-        self.assertEqual(cmd[-2:], ["--seed", "11"])
+        self.assertEqual(cmd[-2:], ["--bin", "all"])
 
 
 if __name__ == "__main__":
