@@ -28,21 +28,20 @@
 //! reactive attach, an already-attached VMM, or an explicit
 //! baseline/degradation path).
 //!
-//! The two passes double as the **skip-neutrality gate** (DESIGN.md
-//! §14.3): pass 1 runs with the event clock's fast-forward on, pass 2
-//! with it off, and the bit-identical record comparison proves the skip
-//! changed no accounting.  The wall-clock-timed passes yield the
+//! The campaign runs twice with the same configuration, and the two
+//! passes must produce bit-identical records (the determinism gate,
+//! DESIGN.md §14.3).  The wall-clock-timed first pass yields the
 //! archive's `sim_speed` section (simulated Mcycles per host
 //! second, gated by `tools/benchgate.py`); the simulated-cycle
 //! numerator is the per-scenario maximum `detected_cycle` — an
 //! archived, deterministic quantity.
 //! `--campaign` multiplies the fault counts ~74x for the nightly
-//! campaigns the skip makes affordable (EXPERIMENTS.md "Campaign scale"; hypercalls
+//! campaigns (EXPERIMENTS.md "Campaign scale"; hypercalls
 //! scale only 10x — each one costs a live mmap page — and the SMP
 //! scenario stays at 6, its rendezvous timeout burning ~5 wall-clock
 //! seconds by design).
 
-use crate::{sim_speed, skip_on_then_off, Json, Opts, Outcome};
+use crate::{run_twice, sim_speed, Json, Opts, Outcome};
 use faultgen::rng::SplitMix64;
 use faultgen::{FaultSpec, FaultTarget};
 use mercury_cluster::{Watchdog, WatchdogPolicy};
@@ -160,12 +159,10 @@ impl Sizing {
         }
     }
 
-    /// Nightly campaign: ~74x the full fault count, affordable because
-    /// the watchdog's backoff and arm deadlines fast-forward through
-    /// the event clock.  Hypercalls scale only 10x (each fault costs a
-    /// live page in the workload mmap) and the SMP-degraded scenario
-    /// stays at 6 (its rendezvous timeout burns real wall-clock by
-    /// design).
+    /// Nightly campaign: ~74x the full fault count.  Hypercalls scale
+    /// only 10x (each fault costs a live page in the workload mmap) and
+    /// the SMP-degraded scenario stays at 6 (its rendezvous timeout
+    /// burns real wall-clock by design).
     fn campaign() -> Sizing {
         Sizing {
             mem_reactive: 4_800,
@@ -704,7 +701,7 @@ fn planned_total(s: &Sizing) -> u64 {
         + s.smp
 }
 
-/// Run the campaign twice (skip on, skip off) and report it.
+/// Run the campaign twice and report it.
 pub fn run(opts: &Opts) -> Outcome {
     const {
         assert!(
@@ -719,17 +716,14 @@ pub fn run(opts: &Opts) -> Outcome {
         Sizing::full()
     };
 
-    // Pass 1 fast-forwards the watchdog's dead time through the event
-    // clock; pass 2 quantum-ticks the same spans.  Bit-identical
-    // records are both the determinism gate and the skip-neutrality
-    // proof (DESIGN.md §14.3).
+    // Two same-seed passes: bit-identical records are the determinism
+    // gate (DESIGN.md §14.3).
     eprintln!(
-        "{}: {} planned faults, skip-on + skip-off passes",
+        "{}: {} planned faults, two passes",
         opts.command(),
         planned_total(&sizing),
     );
-    let [((records, totals), host_skip_on), (pass2, host_skip_off)] =
-        skip_on_then_off(|| run_campaign(seed, &sizing));
+    let ((records, totals), pass2, host_seconds) = run_twice(|| run_campaign(seed, &sizing));
     let deterministic = (&records, &totals) == (&pass2.0, &pass2.1);
 
     // -- aggregate -------------------------------------------------------
@@ -837,10 +831,7 @@ pub fn run(opts: &Opts) -> Outcome {
         *e = (*e).max(r.detected_cycle);
     }
     let sim_mcycles = per_scenario.values().sum::<u64>() as f64 / 1e6;
-    metrics.push((
-        "sim_speed",
-        sim_speed(sim_mcycles, host_skip_on, host_skip_off),
-    ));
+    metrics.push(("sim_speed", sim_speed(sim_mcycles, host_seconds)));
 
     // -- gates -----------------------------------------------------------
     let mut ok = true;

@@ -400,40 +400,29 @@ impl Opts {
     }
 }
 
-/// Run `pass` twice, first with the event clock's time skip on, then
-/// quantum-ticking, and return each result with its host seconds.
-/// Equal results prove both determinism and that the skip changed no
-/// accounting (DESIGN.md §14.3).
-pub fn skip_on_then_off<T>(mut pass: impl FnMut() -> T) -> [(T, f64); 2] {
-    let mut timed = |skip: bool| {
-        simx86::evclock::set_default_skip(skip);
-        let start = Instant::now();
-        let out = pass();
-        (out, start.elapsed().as_secs_f64())
-    };
-    let on = timed(true);
-    let off = timed(false);
-    simx86::evclock::set_default_skip(true);
-    [on, off]
+/// Run `pass` twice with the same configuration and return both
+/// results plus the host seconds of the first.  Equal results are the
+/// determinism gate (DESIGN.md §14.3).
+pub fn run_twice<T>(mut pass: impl FnMut() -> T) -> (T, T, f64) {
+    let start = Instant::now();
+    let first = pass();
+    let host_seconds = start.elapsed().as_secs_f64();
+    (first, pass(), host_seconds)
 }
 
 /// The `sim_speed` section of a campaign archive: `sim_mcycles`
 /// simulated Mcycles (a deterministic archived quantity, never a
-/// machine clock) covered by one pass, over the host seconds of the
-/// skip-on and skip-off passes.
-pub fn sim_speed(sim_mcycles: f64, host_skip_on: f64, host_skip_off: f64) -> Json {
-    let per_s = sim_mcycles / host_skip_on.max(1e-9);
-    let speedup = host_skip_off / host_skip_on.max(1e-9);
+/// machine clock) covered by one pass, over that pass's host seconds.
+pub fn sim_speed(sim_mcycles: f64, host_seconds: f64) -> Json {
+    let per_s = sim_mcycles / host_seconds.max(1e-9);
     eprintln!(
-        "sim_speed: {sim_mcycles:.1} simulated Mcycles in {host_skip_on:.2}s host \
-         ({per_s:.1} Mcycles/s, skip speedup {speedup:.2}x)"
+        "sim_speed: {sim_mcycles:.1} simulated Mcycles in {host_seconds:.2}s host \
+         ({per_s:.1} Mcycles/s)"
     );
     Json::obj([
         ("sim_mcycles", sim_mcycles.into()),
-        ("host_seconds_skip_on", host_skip_on.into()),
-        ("host_seconds_skip_off", host_skip_off.into()),
+        ("host_seconds", host_seconds.into()),
         ("mcycles_per_host_second", per_s.into()),
-        ("skip_speedup", speedup.into()),
     ])
 }
 

@@ -40,14 +40,10 @@
 //! multi-CPU beds are measured steady-state (their one setup switch
 //! lands before the traffic-start base the records are relative to).
 //!
-//! The two passes double as the **skip-neutrality gate** (DESIGN.md
-//! §14.3): pass 1 runs with the event clock's fast-forward on, pass 2
-//! with it off (quantum ticking), and the bit-identical comparison
-//! proves the skip changed no accounting.  Both passes are wall-clock
-//! timed; the simulated-Mcycles-per-host-second throughput and the skip speedup form the archive's `sim_speed`
-//! section, which `tools/benchgate.py` gates.  `--campaign` raises the
-//! request counts ~100x for the nightly campaigns the skip makes
-//! affordable (EXPERIMENTS.md "Campaign scale").
+//! The first pass is wall-clock timed; its simulated-Mcycles-per-host-
+//! second throughput forms the archive's `sim_speed` section, which
+//! `tools/benchgate.py` gates.  `--campaign` raises the request counts
+//! ~100x for the nightly campaigns (EXPERIMENTS.md "Campaign scale").
 //!
 //! Archives `results/serving.json`: per-scenario tail stats (cycles and
 //! µs), switch counts and cycles charged during the traffic window
@@ -68,17 +64,16 @@
 //! (`FleetServer::patch_tuesday_live_update`) follows: every node
 //! rolls v1→v2 in place, no guest drained, and the run fails unless
 //! the fleet's weakest-link version converges on 2.  The same two
-//! skip-on/skip-off passes
-//! gate determinism, and `results/fleet.json` archives fleet-level
-//! p50/p99/p999, shed counts, the migration downtime distribution,
-//! evacuation makespans and wave spans — gated by `tools/benchgate.py`
-//! (zero lost requests hard).
+//! same-seed passes gate determinism, and `results/fleet.json`
+//! archives fleet-level p50/p99/p999, shed counts, the migration
+//! downtime distribution, evacuation makespans and wave spans — gated
+//! by `tools/benchgate.py` (zero lost requests hard).
 //!
 //! Fails if the suite was non-deterministic, any scenario lost
 //! a request, a switching scenario failed to switch, or a fault went
 //! unrecovered.
 
-use crate::{sim_speed, skip_on_then_off, Json, Opts, Outcome};
+use crate::{run_twice, sim_speed, Json, Opts, Outcome};
 use faultgen::{FaultSpec, FaultTarget};
 use mercury_cluster::fleet::NodeStatus;
 use mercury_cluster::{
@@ -131,8 +126,8 @@ impl Sizing {
         }
     }
 
-    /// Nightly campaign: ~100x the full sizing, affordable because idle
-    /// stream time fast-forwards through the event clock.  Same
+    /// Nightly campaign: ~100x the full sizing, affordable because each
+    /// idle gap in the stream is charged in one tick.  Same
     /// scenario shapes and CPU ladder, so the tails are directly
     /// comparable to the full run (EXPERIMENTS.md "Campaign scale").
     fn campaign() -> Sizing {
@@ -581,8 +576,8 @@ fn fleet_node_config() -> NodeConfig {
     }
 }
 
-/// Everything one fleet pass produced; `PartialEq` is the
-/// skip-on/skip-off determinism gate.
+/// Everything one fleet pass produced; `PartialEq` is the two-pass
+/// determinism gate.
 #[derive(Clone, PartialEq)]
 struct FleetRun {
     records: Vec<RequestRecord>,
@@ -772,7 +767,7 @@ fn dist(xs: &[u64]) -> (u64, u64, u64) {
     (v[0], v[v.len() / 2], v[v.len() - 1])
 }
 
-/// The whole `--fleet` mode: two passes (skip on / skip off), gates,
+/// The whole `--fleet` mode: two same-seed passes, gates,
 /// and the `fleet` archive.
 fn run_fleet_suite(opts: &Opts) -> Outcome {
     let (seed, live_update) = (opts.seed, opts.live_update);
@@ -787,8 +782,7 @@ fn run_fleet_suite(opts: &Opts) -> Outcome {
         sizing.nodes,
         sizing.rack_size
     );
-    let [(pass1, _), (pass2, _)] =
-        skip_on_then_off(|| run_fleet(seed, sizing, live_update));
+    let (pass1, pass2, _) = run_twice(|| run_fleet(seed, sizing, live_update));
     let deterministic = pass1 == pass2;
 
     let t = tail_stats(&pass1.records);
@@ -956,8 +950,8 @@ fn json_scenario(s: &ScenarioRun, t: &TailStats) -> Json {
     ])
 }
 
-/// Run the serving sweep, or with `--fleet` the fleet run, twice (skip
-/// on, skip off) and report it.
+/// Run the serving sweep, or with `--fleet` the fleet run, twice and
+/// report it.
 pub fn run(opts: &Opts) -> Outcome {
     const {
         assert!(
@@ -975,13 +969,10 @@ pub fn run(opts: &Opts) -> Outcome {
         Sizing::full()
     };
 
-    // Pass 1 fast-forwards idle stream time through the event clock;
-    // pass 2 quantum-ticks the same spans.  Bit-identical results are
-    // both the determinism gate and the proof that skipping changed no
-    // accounting (DESIGN.md §14.3).
-    eprintln!("{}: skip-on + skip-off passes", opts.command());
-    let [(pass1, host_skip_on), (pass2, host_skip_off)] =
-        skip_on_then_off(|| run_suite(seed, &sizing, live_update));
+    // Two same-seed passes: bit-identical results are the determinism
+    // gate (DESIGN.md §14.3).
+    eprintln!("{}: two passes", opts.command());
+    let (pass1, pass2, host_seconds) = run_twice(|| run_suite(seed, &sizing, live_update));
     let deterministic = pass1 == pass2;
 
     let stats: Vec<TailStats> = pass1.iter().map(|s| tail_stats(&s.records)).collect();
@@ -1098,10 +1089,7 @@ pub fn run(opts: &Opts) -> Outcome {
         .iter()
         .map(|s| s.records.iter().map(|r| r.finish).max().unwrap_or(0))
         .sum();
-    metrics.push((
-        "sim_speed",
-        sim_speed(sim_cycles as f64 / 1e6, host_skip_on, host_skip_off),
-    ));
+    metrics.push(("sim_speed", sim_speed(sim_cycles as f64 / 1e6, host_seconds)));
 
     // -- gates -----------------------------------------------------------
     let mut ok = true;

@@ -19,13 +19,10 @@
 //! * a small faultgen ECC campaign against the host mid-residence,
 //!   recovered through the watchdog (bit flipped back in place), which
 //!   must be invisible to the compared state (no-op when the `enabled`
-//!   feature is off — the workspace build turns it on);
-//! * both event-clock settings: the time skip is an accounting
-//!   optimization and must not change a single guest-visible bit.
+//!   feature is off — the workspace build turns it on).
 //!
-//! Every case checks the final state against a pure-Rust model of the
-//! workload, so skip-on and skip-off runs are each held to the same
-//! bit-exact expectation.
+//! Every case checks the final state bit-exactly against a pure-Rust
+//! model of the workload.
 
 use mercury_cluster::{evacuate, return_home, Cluster, NodeConfig, Watchdog, WatchdogPolicy};
 use nimbus::kernel::{MmapBacking, ReadOutcome};
@@ -59,7 +56,6 @@ struct Case {
     synced_chunks: usize,
     guest_chunk: Vec<u8>,
     precopy_rounds: usize,
-    skip: bool,
 }
 
 fn gen_case(g: &mut Gen) -> Case {
@@ -75,7 +71,6 @@ fn gen_case(g: &mut Gen) -> Case {
         pre_chunks,
         guest_chunk: g.bytes(1..24),
         precopy_rounds: g.range(1..4) as usize,
-        skip: g.bool(),
     }
 }
 
@@ -85,7 +80,6 @@ fn slot(base: VirtAddr, i: u16) -> VirtAddr {
 }
 
 fn run_case(case: &Case) {
-    simx86::evclock::set_default_skip(case.skip);
     faultgen::reset();
 
     let cluster = Cluster::launch(2, &small_node());
@@ -213,9 +207,5 @@ fn run_case(case: &Case) {
 
 #[test]
 fn roundtrip_preserves_guest_state() {
-    prop::check(6, |g| {
-        run_case(&gen_case(g));
-        // Leave the process-global default as the benches expect it.
-        simx86::evclock::set_default_skip(true);
-    });
+    prop::check(6, |g| run_case(&gen_case(g)));
 }

@@ -9,14 +9,11 @@
 //! privilege change is committed by editing the handler's return frame.
 //!
 //! Switch phases are **tick-exact**: no cycle inside the handler is
-//! ever fast-forwarded through the event clock (`simx86::evclock`) —
-//! the phases are what `switch_timeline` measures and what the static
-//! budget in `volint_budget.json` prices, so they must cost exactly
-//! what their priced operations add up to in every run.  Idle time
-//! *between* switches (retry backoffs, serving gaps, halted CPUs) may
-//! skip; the boundary is enforced structurally by volint's
-//! `SWITCH-ALLOC` rule, since the event-clock API allocates
-//! (DESIGN.md §14.2).
+//! charged as an idle span — the phases are what `switch_timeline`
+//! measures and what the static budget in `volint_budget.json` prices,
+//! so they must cost exactly what their priced operations add up to in
+//! every run.  Only idle time *between* switches (retry backoffs,
+//! serving gaps, halted CPUs) is charged in one tick (DESIGN.md §14).
 //!
 //! The reference-count gate and the sub-millisecond commit, end to end:
 //!

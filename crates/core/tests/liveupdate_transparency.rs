@@ -8,11 +8,6 @@
 //! (the incumbent keeps running, the staged successor is discarded) —
 //! and in *both* cases guest memory, file contents, and fd positions
 //! are bit-identical to a run that never attempted an update at all.
-//!
-//! The same observation is taken under both event-clock settings
-//! (fast-forward on and off), so the test doubles as a skip-neutrality
-//! check for the update path: skipping idle time must not change what
-//! the guest can see either.
 
 use mercury::{LiveUpdatePhase, Mercury, SwitchError, SwitchOutcome, TrackingStrategy};
 use nimbus::drivers::block::NativeBlockDriver;
@@ -89,8 +84,7 @@ fn data(out: Result<ReadOutcome, nimbus::KernelError>) -> Vec<u8> {
 
 /// One full guest run: file + mmap traffic, the update (or not) in the
 /// middle, more traffic, then the observation.
-fn observe(update: Update, skip: bool, pages: usize, words: &[u64], split: usize) -> Observed {
-    simx86::evclock::set_default_skip(skip);
+fn observe(update: Update, pages: usize, words: &[u64], split: usize) -> Observed {
     let (machine, mercury) = rig();
     let cpu = machine.boot_cpu();
     let sess = Session::new(Arc::clone(mercury.kernel()), 0);
@@ -163,7 +157,6 @@ fn observe(update: Update, skip: bool, pages: usize, words: &[u64], split: usize
     let full_read = data(sess.read(fd, 4 * bytes.len().max(1)));
     let file_size = sess.stat("journal").unwrap().size;
 
-    simx86::evclock::set_default_skip(true);
     Observed {
         peeks,
         early_read,
@@ -175,35 +168,29 @@ fn observe(update: Update, skip: bool, pages: usize, words: &[u64], split: usize
 
 /// For random guest workloads, an update interrupted at every phase
 /// — and one that completes — leaves the guest bit-identical to a
-/// run that never updated, under both event-clock settings.
+/// run that never updated.
 #[test]
 fn interrupted_update_is_invisible_to_the_guest() {
     prop::check(4, |g| {
         let pages = g.range(1..5) as usize;
         let words = g.vec(2..24, |g| g.u64());
         let split = g.range(0..24) as usize;
-        let baseline = observe(Update::None, true, pages, &words, split);
+        let baseline = observe(Update::None, pages, &words, split);
         assert_eq!(
             &baseline.peeks[..baseline.peeks.len()],
             &words[..],
             "sanity: pokes must read back"
         );
-        for skip in [true, false] {
-            let runs = [
-                Update::None,
-                Update::At(None),
-                Update::At(Some(LiveUpdatePhase::Handshake)),
-                Update::At(Some(LiveUpdatePhase::Transfer)),
-                Update::At(Some(LiveUpdatePhase::Commit)),
-            ];
-            for update in runs {
-                let got = observe(update, skip, pages, &words, split);
-                assert_eq!(
-                    &got, &baseline,
-                    "guest state diverged: update {:?}, skip {}",
-                    update, skip
-                );
-            }
+        let runs = [
+            Update::None,
+            Update::At(None),
+            Update::At(Some(LiveUpdatePhase::Handshake)),
+            Update::At(Some(LiveUpdatePhase::Transfer)),
+            Update::At(Some(LiveUpdatePhase::Commit)),
+        ];
+        for update in runs {
+            let got = observe(update, pages, &words, split);
+            assert_eq!(&got, &baseline, "guest state diverged: update {update:?}");
         }
     });
 }

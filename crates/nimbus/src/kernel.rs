@@ -821,17 +821,16 @@ impl Kernel {
     }
 
     /// Run the idle loop until this CPU reaches absolute cycle `target`
-    /// or a process becomes runnable, fast-forwarding idle spans
-    /// through the machine's event clock.
+    /// or a process becomes runnable.
     ///
-    /// The wait is walked deadline to deadline (the CPU's timer, any
-    /// pending event-clock entry, `target` — whichever is first).  Each
-    /// segment services the timer and pending interrupts, offers the
-    /// scheduler a chance to resume work, drains the registered
-    /// [`IdleTask`]'s backlog at [`IDLE_DONATION_QUANTUM`]-cycle grain,
-    /// and only then skips the cycles nobody claimed.  Accounting is
-    /// identical in both skip modes (`simx86::evclock`); in particular
-    /// every timer tick still fires at its programmed cycle.
+    /// The wait is walked deadline to deadline (the CPU's timer or
+    /// `target`, whichever is first), as [`simx86::Machine::idle_until`]
+    /// walks it.  Each segment services the timer and pending
+    /// interrupts, offers the scheduler a chance to resume work, drains
+    /// the registered [`IdleTask`]'s backlog at
+    /// [`IDLE_DONATION_QUANTUM`]-cycle grain, and then charges the
+    /// cycles nobody claimed in one tick, so every timer tick still
+    /// fires at its programmed cycle.
     ///
     /// Returns the pid that became runnable, or `None` if the CPU idled
     /// all the way to `target`.
@@ -850,7 +849,7 @@ impl Kernel {
     /// )
     /// .unwrap();
     ///
-    /// // CPU 1 has nothing to run: the idle span skips to the target.
+    /// // CPU 1 has nothing to run: it idles all the way to the target.
     /// let cpu = &machine.cpus[1];
     /// let target = cpu.cycles() + 30_000_000;
     /// assert!(kernel.idle_until(cpu, target).unwrap().is_none());
@@ -876,20 +875,13 @@ impl Kernel {
                 }
             }
             // Nothing runnable: give the idle task the segment up to
-            // the next deadline, one quantum at a time, then skip the
+            // the next deadline, one quantum at a time, then charge the
             // cycles it left over.  (The state lock is dropped above —
             // the task may call back into kernel services.)
-            let mut stop = target;
-            if let Some(d) = self.machine.timer.next_deadline(cpu.id) {
-                if d > now {
-                    stop = stop.min(d);
-                }
-            }
-            if let Some(d) = self.machine.evclock.next_due() {
-                if d > now {
-                    stop = stop.min(d);
-                }
-            }
+            let stop = match self.machine.timer.next_deadline(cpu.id) {
+                Some(d) if d > now => target.min(d),
+                _ => target,
+            };
             if let Some(task) = &task {
                 while cpu.cycles() + IDLE_DONATION_QUANTUM <= stop {
                     let used = task(cpu, IDLE_DONATION_QUANTUM);
@@ -902,7 +894,7 @@ impl Kernel {
                     }
                 }
             }
-            self.machine.evclock.advance(cpu, stop);
+            cpu.tick(stop.saturating_sub(cpu.cycles()));
         }
     }
 
@@ -2422,8 +2414,8 @@ mod error_path_tests {
         let target = cpu.cycles() + 10_000_000;
         assert!(k.idle_until(cpu, target).unwrap().is_none());
         assert!(cpu.cycles() >= target);
-        // Fast-forwarding must not swallow timer interrupts: every
-        // deadline inside the skipped span fired individually.
+        // Charging the span in one go must not swallow timer
+        // interrupts: every deadline inside it fired individually.
         assert!(m.timer.ticks(1) - ticks0 >= 9);
     }
 
@@ -2458,7 +2450,7 @@ mod error_path_tests {
         let cpu = &m.cpus[1];
         let target = cpu.cycles() + 50_000_000;
         let pid = k.idle_until(cpu, target).unwrap();
-        assert!(pid.is_some(), "runnable child must preempt the skip");
+        assert!(pid.is_some(), "runnable child must preempt the idle span");
         assert!(cpu.cycles() < target, "no dead-time walk to the target");
     }
 

@@ -97,8 +97,7 @@ pub fn generate(cfg: &LoadConfig) -> Vec<Arrival> {
 /// empty stream.  This is the open-loop span the server will cover —
 /// the bench binaries divide the simulated cycles actually consumed by
 /// host seconds to get the Mcycles/host-second throughput metric, and
-/// the event clock guarantees every idle gap inside the horizon is
-/// charged whether skipped or walked.
+/// every idle gap inside the horizon is charged to a worker clock.
 ///
 /// ```
 /// use mercury_servo::loadgen::{generate, horizon, LoadConfig};

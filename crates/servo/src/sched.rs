@@ -29,7 +29,6 @@ use mercury_workloads::mix::RequestShape;
 use nimbus::kernel::{IdleTask, ReadOutcome, WriteOutcome};
 use nimbus::Session;
 use simx86::devices::EchoWire;
-use simx86::evclock::{EvClock, EventKind};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -172,11 +171,6 @@ pub struct NodeServer {
     /// is donated before the remainder is idled away; `None` blank-
     /// ticks the whole gap.
     donor: Option<IdleTask>,
-    /// The node machine's event clock.  Arrivals register deadlines on
-    /// it and the donor-leftover part of every open-loop gap is
-    /// fast-forwarded through it, so idle serving time skips instead of
-    /// ticking — with bit-identical accounting (DESIGN.md §14).
-    evclock: Arc<EvClock>,
 }
 
 impl NodeServer {
@@ -267,7 +261,6 @@ impl NodeServer {
             base,
             payload: chunk,
             donor: None,
-            evclock: Arc::clone(&node.machine.evclock),
         }
     }
 
@@ -419,19 +412,12 @@ impl NodeServer {
     pub fn run(&mut self, traffic: &[Arrival], mut hook: impl FnMut(&mut NodeServer, u64)) {
         for a in traffic {
             let t = self.abs(a.offset);
-            // Register the arrival as an event-clock deadline: any idle
-            // fast-forward on this machine (a halted kernel CPU, a
-            // watchdog backoff) stops at `t` rather than skipping past
-            // the arrival.
-            let ev = self.evclock.schedule(t, EventKind::RequestArrival);
             self.advance_to(t);
             hook(self, a.offset);
             // The hook may have advanced worker clocks (switch cycles);
             // late queued work runs first, then the new arrival lands.
             self.advance_to(t);
             self.offer(a.id, &a.shape, t);
-            // Admitted (or shed): the deadline is serviced, retire it.
-            self.evclock.cancel(ev);
         }
         self.drain();
     }
@@ -451,10 +437,9 @@ impl NodeServer {
                 let used = donor(cpu, gap);
                 debug_assert!(used <= gap, "idle donor overran the open-loop gap");
             }
-            // Fast-forward whatever the donor left of the gap — the
-            // charge is identical to ticking it away cycle by cycle
-            // (the evclock neutrality contract, DESIGN.md §14).
-            self.evclock.advance(cpu, start);
+            // Charge whatever the donor left of the gap in one tick
+            // (DESIGN.md §14).
+            cpu.tick(start.saturating_sub(cpu.cycles()));
         }
         let started = cpu.cycles();
         merctrace::span_begin!(cpu.id, "servo.request", started);

@@ -89,7 +89,7 @@ impl SimTimer {
     }
 
     /// The next programmed deadline for `cpu_id`, if the timer is
-    /// enabled there.  The machine's idle fast-forward
+    /// enabled there.  The machine's idle helper
     /// ([`crate::Machine::idle_until`]) stops at this cycle so the
     /// TIMER vector raises exactly where quantum-by-quantum ticking
     /// would have raised it.

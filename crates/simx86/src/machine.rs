@@ -4,7 +4,6 @@
 use crate::costs;
 use crate::cpu::Cpu;
 use crate::devices::{Console, SimDisk, SimNic, SimTimer};
-use crate::evclock::EvClock;
 use crate::intc::InterruptController;
 use crate::mem::{FrameNum, PhysMemory};
 use crate::sync::Mutex;
@@ -155,9 +154,6 @@ pub struct Machine {
     pub nic: Arc<SimNic>,
     /// Console.
     pub console: Console,
-    /// The event clock — the machine-wide deadline queue that idle
-    /// spans fast-forward against (see [`crate::evclock`]).
-    pub evclock: Arc<EvClock>,
     config: MachineConfig,
 }
 
@@ -177,7 +173,6 @@ impl Machine {
             disk: SimDisk::new(config.disk_sectors, 0),
             nic: Arc::new(SimNic::new(0)),
             console: Console::new(),
-            evclock: EvClock::new(),
             config,
         })
     }
@@ -211,15 +206,14 @@ impl Machine {
         self.cpus.iter().map(|c| c.cycles()).max().unwrap_or(0)
     }
 
-    /// Fast-forward `cpu` through an idle span to absolute cycle
-    /// `target`, stopping at every deadline on the way: the CPU's
-    /// programmed timer, and every pending [`EvClock`] event.  Devices
-    /// are pumped at each stop, so timer interrupts raise at exactly
-    /// the cycles they would under quantum-by-quantum ticking.
+    /// Charge `cpu` an idle span up to absolute cycle `target`,
+    /// stopping at each of the CPU's programmed timer deadlines on the
+    /// way.  Each segment is one [`Cpu::tick`], and devices are pumped
+    /// at every stop, so timer interrupts raise at exactly the cycles
+    /// they would under quantum-by-quantum ticking.
     ///
     /// Returns the cycles charged (0 if `cpu` is already past
-    /// `target`).  Accounting is identical whether the clock skips or
-    /// walks — see [`crate::evclock`] for the neutrality contract.
+    /// `target`).
     ///
     /// ```
     /// use simx86::{Machine, MachineConfig};
@@ -238,18 +232,12 @@ impl Machine {
             if now >= target {
                 return charged;
             }
-            let mut stop = target;
-            if let Some(d) = self.timer.next_deadline(cpu.id) {
-                if d > now {
-                    stop = stop.min(d);
-                }
-            }
-            if let Some(d) = self.evclock.next_due() {
-                if d > now {
-                    stop = stop.min(d);
-                }
-            }
-            charged += self.evclock.advance(cpu, stop);
+            let stop = match self.timer.next_deadline(cpu.id) {
+                Some(d) if d > now => target.min(d),
+                _ => target,
+            };
+            cpu.tick(stop - now);
+            charged += stop - now;
             self.pump_devices();
         }
     }
@@ -331,9 +319,9 @@ mod tests {
 
     #[test]
     fn idle_until_fires_every_timer_tick_it_skips_over() {
-        // Fast-forwarding an idle span must raise the same interrupts,
-        // at the same cycles, as walking it: a 100-cycle periodic timer
-        // skipped over for 1000 cycles fires 10 ticks, not 1.
+        // Charging an idle span in one go must raise the same
+        // interrupts, at the same cycles, as walking it: a 100-cycle
+        // periodic timer idled over for 1000 cycles fires 10 ticks, not 1.
         let m = Machine::new(MachineConfig::up());
         let cpu = m.boot_cpu();
         m.timer.start(cpu, 100);
@@ -341,34 +329,6 @@ mod tests {
         assert_eq!(charged, 1_000);
         assert_eq!(cpu.cycles(), 1_000);
         assert_eq!(m.timer.ticks(0), 10);
-    }
-
-    #[test]
-    fn idle_until_stops_at_evclock_deadlines() {
-        use crate::evclock::EventKind;
-        let m = Machine::new(MachineConfig::up());
-        let cpu = m.boot_cpu();
-        m.evclock.schedule(400, EventKind::RequestArrival);
-        m.idle_until(cpu, 1_000);
-        assert_eq!(cpu.cycles(), 1_000);
-        // The event was a stop point; it is still the caller's to pop.
-        let due = m.evclock.take_due(cpu.cycles());
-        assert_eq!(due.len(), 1);
-        assert_eq!(due[0].due, 400);
-    }
-
-    #[test]
-    fn idle_until_charges_identically_with_skip_off() {
-        let skip_on = Machine::new(MachineConfig::up());
-        let skip_off = Machine::new(MachineConfig::up());
-        skip_off.evclock.set_skip(false);
-        for m in [&skip_on, &skip_off] {
-            let cpu = m.boot_cpu();
-            m.timer.start(cpu, 333);
-            m.idle_until(cpu, 10_000);
-        }
-        assert_eq!(skip_on.boot_cpu().cycles(), skip_off.boot_cpu().cycles());
-        assert_eq!(skip_on.timer.ticks(0), skip_off.timer.ticks(0));
     }
 }
 

@@ -209,13 +209,11 @@ class ServingGate(TempRepo):
         m["inflation_vs_steady_native_1cpu"]["update_under_load_p99"] = 2.5  # …over the ceiling
         m["scenarios"][1]["completed"] = 0
         m["determinism"] = "FAILED"
-        m["sim_speed"]["skip_speedup"] = 0.9
         gate = self.gate("serving", fresh, committed=fixture("serving"))
         self.assertNotRegressed(gate, "serving.inflation.")
         self.assertRegressed(gate, "serving.ceiling.update_under_load_p99")
         self.assertRegressed(gate, "serving.switch-under-load-1cpu.completed")
         self.assertRegressed(gate, "serving.determinism")
-        self.assertRegressed(gate, "serving.sim_speed.skip_speedup")
         self.assertTrue(any("bands skipped" in n for n in gate.notes))
 
     def test_update_ceiling_breach_regresses(self):
@@ -321,15 +319,9 @@ class FaultGate(TempRepo):
         fresh["provenance"]["command"] += " --campaign"
         self.assertFalse(self.gate("faults", fresh, fixture("faults")).regressions)
 
-    def test_skip_speedup_below_one_fails(self):
-        fresh = fixture("faults")
-        fresh["metrics"]["sim_speed"]["skip_speedup"] = 0.9
-        self.assertRegressed(self.gate("faults", fresh, fixture("faults")), "faults.sim_speed.skip_speedup")
-
     def test_throughput_floor_needs_the_same_host(self):
         # Host time from another machine says nothing about the code:
-        # the floor is skipped loudly, the skip-speedup check (two
-        # passes on one host) still applies.
+        # the floor is skipped loudly, the invariants still apply.
         fresh = fixture("faults")
         fresh["provenance"]["host"] = "x86_64-linux, 4 cpus, some other cpu"
         fresh["metrics"]["sim_speed"]["mcycles_per_host_second"] *= bg.SIM_SPEED_MIN_FRACTION * 0.9
@@ -337,8 +329,8 @@ class FaultGate(TempRepo):
         self.assertFalse(gate.regressions)
         self.assertFalse([r for r in gate.rows if r[0] == "faults.sim_speed.mcycles_per_host_second"])
         self.assertTrue(any("host-time floor skipped" in n for n in gate.notes))
-        fresh["metrics"]["sim_speed"]["skip_speedup"] = 0.9
-        self.assertRegressed(self.gate("faults", fresh, fixture("faults")), "faults.sim_speed.skip_speedup")
+        fresh["metrics"]["determinism"] = "FAILED"
+        self.assertRegressed(self.gate("faults", fresh, fixture("faults")), "faults.determinism")
 
 
 class RunAll(unittest.TestCase):
